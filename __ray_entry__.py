@@ -163,7 +163,7 @@ def entry() -> Any:
     from dqm_ray.pipelines.quality import build_quality_pipeline
 
     paths = _corpus_paths("/root/testdata/sf0.001")
-    cfg = QualityConfig(scorer_concurrency=2)
+    cfg = QualityConfig()
     ds = build_quality_pipeline(rd.read_parquet(paths), cfg)
     return ds.drop_columns(["is_empty", "has_autogen"])
 
@@ -175,7 +175,7 @@ def _q_flagship(sf_dir: str):
     from dqm_ray.pipelines.quality import build_quality_pipeline
 
     paths = _corpus_paths(sf_dir)
-    cfg = QualityConfig(scorer_concurrency=4)
+    cfg = QualityConfig()
     ds = build_quality_pipeline(rd.read_parquet(paths), cfg)
     return ds.select_columns(["repo", "path", "commit", "lang", "keep",
                               "detected_lang", "sha256", "scrubbed"])
@@ -199,7 +199,7 @@ def _q_resume_semantics(sf_dir: str):
     paths = sorted(_corpus_paths(sf_dir))
     out = os.path.join("/tmp", f"resume_probe_{os.getpid()}")
     shutil.rmtree(out, ignore_errors=True)
-    cfg = QualityConfig(scorer_concurrency=2)
+    cfg = QualityConfig()
     try:
         run_quality_filewise(paths[:2], out, cfg,
                              write_metrics=False).to_pandas()

@@ -80,10 +80,8 @@ class QualityConfig:
     langid_min_marker_hits: int = 1     # detected lang needs >= hits
     langid_min_lines: int = 3           # mismatch rule needs >= lines
     max_log_ppl: float = 4.4            # drop if char-bigram log-perplexity above
-    scorer_batch_size: int = 256
-    scorer_concurrency: int | tuple[int, int] = 4
     # external model artifact: path to a training-text file loaded ONCE
-    # per scorer actor (the ChannelMapFiller analog — build-once state
+    # per worker process (the ChannelMapFiller analog — build-once state
     # filled from an external source, include/dqm/ChannelMapFiller.hpp:38-75).
     # None = the deterministic built-in corpus.training_text(). A real
     # fastText/KenLM binary drops into the same slot when its runtime is

@@ -25,9 +25,9 @@ Scale shape:
 
 Growing the index after an accepted ingest = appending the new
 bucket files to the index layout (same bucket function, so buckets
-stay aligned). Reference parity: manifest-resume semantics
-(pipelines/checkpoint.py) applied across corpus generations rather
-than within one run.
+stay aligned). Reference parity: the flagship's skip-finished-shards
+resume (pipelines/quality.py) applied across corpus generations
+rather than within one run.
 """
 
 from __future__ import annotations

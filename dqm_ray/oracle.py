@@ -74,7 +74,7 @@ def detect_lang(prefix: str, cfg: QualityConfig) -> str:
 class BigramModel:
     """Char-bigram language model with add-one smoothing over a 128-symbol
     alphabet (ASCII; everything else buckets to 127). The naive loop
-    version of the scorer actor's vectorized model."""
+    version of the scorer's vectorized model."""
 
     V = 128
 

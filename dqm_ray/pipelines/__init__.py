@@ -1,19 +1,15 @@
 from dqm_ray.pipelines.quality import (
     build_quality_pipeline,
     finalize_batch,
-    metrics_for,
     read_partition_metrics,
     read_stage_timings,
-    run_quality_pipeline,
+    run_quality_filewise,
 )
-from dqm_ray.pipelines.checkpoint import Manifest
 
 __all__ = [
     "build_quality_pipeline",
     "finalize_batch",
-    "metrics_for",
     "read_partition_metrics",
     "read_stage_timings",
-    "run_quality_pipeline",
-    "Manifest",
+    "run_quality_filewise",
 ]

@@ -95,8 +95,8 @@ def write_training_shards(prep_ds, out_dir: str, *,
     shards in order with no further shuffle, a failed prep run can
     skip already-complete shard directories on rerun, and each shard
     is small enough to re-emit atomically — the flagship's per-shard
-    resume contract (pipelines/quality.py manifest semantics) applied
-    to the training-set layout."""
+    resume contract (pipelines/quality.py: a shard whose output exists
+    is skipped) applied to the training-set layout."""
     import pyarrow as pa
 
     def add_shard(batch: pa.Table) -> pa.Table:

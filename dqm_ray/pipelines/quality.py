@@ -1,20 +1,25 @@
 """The flagship quality-filter pipeline — the DFModule-composite analog
 (reference include/dqm/modules/DFModule.hpp:58-134: assemble enabled
-stages from config and run them over the same window), re-expressed as a
-lazy chain of ``map_batches`` stages on one streaming ``Dataset``:
+stages from config and run them over the same window), fused into one
+per-batch chain (``QualityStage``):
 
-    read_parquet(shards)                        # S1/S2 source analog
-      → add_partition_id                        # hash64(repo) % P
+    normalize → partition_id                    # hash64(repo) % P
       → lineage sha256 (+ invariant check)      # P3/P5 analog, fail-fast
       → heuristic_rules_batch                   # P2-P4 analogs, stateless
-      → ScorerStage (actor pool)                # T1/T2 analogs
+      → ScorerStage                             # T1/T2 analogs
       → finalize (reasons → keep)               # Pipeline-runner analog
       → scrub                                   # PII rewrite
-      ├→ write_parquet per shard-group          # K1 sink, resumable
-      └→ metrics partials → groupby aggregate   # K3 opmon analog
 
-No stage materializes the dataset; the only shuffle is the tiny metrics
-groupby over per-batch partials.
+``run_quality_filewise`` is the runner: one task per input shard reads
+the shard, runs the chain and writes
+
+    metrics/<shard>.parquet          # K3 opmon analog, per partition_id
+    metrics/timing/<shard>.parquet   # per-stage ms / rows / calls
+    data/<shard>.parquet             # K1 sink, atomic rename, written last
+
+The data file is the completion marker: a rerun skips every shard whose
+data file exists. ``build_quality_pipeline`` puts the same chain on any
+``Dataset`` for composition.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ import numpy as np
 import pyarrow as pa
 
 from dqm_ray.config import QualityConfig
-from dqm_ray.pipelines.checkpoint import Manifest
 from dqm_ray.stages.lineage import lineage_batch
 from dqm_ray.stages.rules import add_partition_id, heuristic_rules_batch
 from dqm_ray.stages.scorer import ScorerStage
@@ -61,40 +65,32 @@ def concat_list_columns(a: pa.ListArray, b: pa.ListArray) -> pa.ListArray:
 
 def finalize_batch(batch: pa.Table) -> pa.Table:
     """Merge rule_reasons + scorer_reasons → `reasons`; keep = empty."""
-    cols = batch.column_names
-    if "scorer_reasons" in cols:
-        reasons = concat_list_columns(
-            batch.column("rule_reasons").combine_chunks(),
-            batch.column("scorer_reasons").combine_chunks())
-        batch = batch.drop_columns(["rule_reasons", "scorer_reasons"])
-    else:
-        reasons = batch.column("rule_reasons").combine_chunks()
-        batch = batch.drop_columns(["rule_reasons"])
+    reasons = concat_list_columns(
+        batch.column("rule_reasons").combine_chunks(),
+        batch.column("scorer_reasons").combine_chunks())
+    batch = batch.drop_columns(["rule_reasons", "scorer_reasons"])
     keep = np.diff(np.asarray(reasons.offsets, dtype=np.int64)) == 0
     batch = batch.append_column("reasons", reasons)
     return batch.append_column("keep", pa.array(keep))
 
 
 class QualityStage:
-    """The whole per-row chain manually fused into one actor-pool stage:
+    """The whole per-row chain manually fused into one callable:
     normalize → partition_id → lineage → rules → scorer → finalize →
     scrub, applied in-process per batch.
 
-    Why fused: six separate ``map_batches`` stages hand every block
-    (≈ corpus size) through the object store at each hop; fusing keeps
-    one hand-off after read and one before write, and an autoscaling
-    pool lets the executor grow workers onto all idle cores. The staged
-    variant (``fused=False``) remains for composition/debugging.
+    Why fused: six separate ``map_batches`` stages would hand every
+    block (≈ corpus size) through the object store at each hop; fused,
+    the filewise runner moves no content through it at all.
     """
 
     def __init__(self, cfg: QualityConfig | None = None, *,
-                 with_scorer: bool = True, ref_sha_column: str | None = None,
+                 ref_sha_column: str | None = None,
                  alert_dir: str | None = None):
         self.cfg = cfg or QualityConfig()
-        self.with_scorer = with_scorer
         self.ref_sha_column = ref_sha_column
         self.alert_dir = alert_dir
-        self.scorer = ScorerStage(self.cfg) if with_scorer else None
+        self.scorer = ScorerStage(self.cfg)
         # per-stage (wall_ms, rows, calls) accumulators — the opmon
         # times_run/time_taken analog (reference
         # schema/dqm/dqmprocessorinfo.jsonnet:18-31, measured at
@@ -134,8 +130,7 @@ class QualityStage:
             fail_fast=cfg.fail_fast_on_lineage), b)
         b = self._timed("rules",
                         lambda t: heuristic_rules_batch(t, cfg=cfg), b)
-        if self.scorer is not None:
-            b = self._timed("scorer", self.scorer, b)
+        b = self._timed("scorer", self.scorer, b)
         b = self._timed("finalize", finalize_batch, b)
         return self._timed("scrub", lambda t: scrub_batch(t, cfg=cfg), b)
 
@@ -147,97 +142,65 @@ class QualityStage:
 _STAGE_CACHE: dict = {}
 
 
-def _get_stage(cfg, with_scorer, ref_sha_column, alert_dir) -> QualityStage:
-    key = (cfg, with_scorer, ref_sha_column, alert_dir)
+def _get_stage(cfg, ref_sha_column, alert_dir) -> QualityStage:
+    key = (cfg, ref_sha_column, alert_dir)
     stage = _STAGE_CACHE.get(key)
     if stage is None:
-        stage = QualityStage(cfg, with_scorer=with_scorer,
-                             ref_sha_column=ref_sha_column,
+        stage = QualityStage(cfg, ref_sha_column=ref_sha_column,
                              alert_dir=alert_dir)
         _STAGE_CACHE[key] = stage
     return stage
 
 
-def _fused_quality_fn(batch: pa.Table, *, cfg, with_scorer,
-                      ref_sha_column, alert_dir) -> pa.Table:
-    return _get_stage(cfg, with_scorer, ref_sha_column, alert_dir)(batch)
+def _fused_quality_fn(batch: pa.Table, *, cfg, ref_sha_column,
+                      alert_dir) -> pa.Table:
+    return _get_stage(cfg, ref_sha_column, alert_dir)(batch)
 
 
 def build_quality_pipeline(ds, cfg: QualityConfig | None = None, *,
-                           with_scorer: bool = True,
                            ref_sha_column: str | None = None,
-                           alert_dir: str | None = None,
-                           fused: bool = True):
-    """Assemble the lazy stage chain on an input Dataset with columns
-    (repo, path, commit, lang, content [, <ref_sha_column>]).
-
-    fused=True (default): the whole chain as ONE elastic task stage
-    (model cached per worker process); fused=False: six
-    individually-visible stages with an actor-pool scorer.
-    """
-    from dqm_ray.stages.normalize import normalize_batch
-
+                           alert_dir: str | None = None):
+    """Put the fused chain on an input Dataset with columns
+    (repo, path, commit, lang, content [, <ref_sha_column>]), as ONE
+    elastic task stage (stage and model cached per worker process)."""
     cfg = cfg or QualityConfig()
-    if fused:
-        return ds.map_batches(
-            functools.partial(_fused_quality_fn, cfg=cfg,
-                              with_scorer=with_scorer,
-                              ref_sha_column=ref_sha_column,
-                              alert_dir=alert_dir),
-            batch_format="pyarrow", batch_size=cfg.rule_batch_size)
-    ds = ds.map_batches(
-        functools.partial(normalize_batch, cfg=cfg),
+    return ds.map_batches(
+        functools.partial(_fused_quality_fn, cfg=cfg,
+                          ref_sha_column=ref_sha_column,
+                          alert_dir=alert_dir),
         batch_format="pyarrow", batch_size=cfg.rule_batch_size)
-    ds = ds.map_batches(
-        functools.partial(add_partition_id, num_partitions=cfg.num_partitions),
-        batch_format="pyarrow", batch_size=cfg.rule_batch_size)
-    ds = ds.map_batches(
-        functools.partial(lineage_batch, ref_column=ref_sha_column,
-                          alert_dir=alert_dir,
-                          fail_fast=cfg.fail_fast_on_lineage),
-        batch_format="pyarrow", batch_size=cfg.rule_batch_size)
-    ds = ds.map_batches(
-        functools.partial(heuristic_rules_batch, cfg=cfg),
-        batch_format="pyarrow", batch_size=cfg.rule_batch_size)
-    if with_scorer:
-        ds = ds.map_batches(
-            ScorerStage,
-            fn_constructor_kwargs={"cfg": cfg},
-            batch_format="pyarrow",
-            batch_size=cfg.scorer_batch_size,
-            concurrency=cfg.scorer_concurrency,
-            num_cpus=1)
-    ds = ds.map_batches(finalize_batch, batch_format="pyarrow",
-                        batch_size=cfg.rule_batch_size)
-    ds = ds.map_batches(functools.partial(scrub_batch, cfg=cfg),
-                        batch_format="pyarrow", batch_size=cfg.rule_batch_size)
-    return ds
+
+
+def _shard_name(path: str) -> str:
+    """Output key of an input shard: its file name without extension."""
+    return os.path.basename(path).rsplit(".", 1)[0]
 
 
 def _process_shard_batch(batch: pa.Table, *, out_dir: str, metrics_dir,
-                         cfg, with_scorer, ref_sha_column,
-                         alert_dir) -> pa.Table:
+                         cfg, ref_sha_column, alert_dir) -> pa.Table:
     """Filewise worker: for each input shard path row, read the shard,
     run the full fused chain batch-wise, and write this shard's output
     parquet directly — zero object-store traffic for content. Emits one
-    stats row per shard, plus (K3 opmon parity with the resumable
-    runner) a partition-keyed metrics parquet per shard."""
+    stats row per shard, plus a partition-keyed metrics parquet and a
+    per-stage timing parquet per shard."""
     import pyarrow.parquet as pq
 
     paths = batch.column("path").to_pylist()
-    stage = _get_stage(cfg, with_scorer, ref_sha_column, alert_dir)
+    stage = _get_stage(cfg, ref_sha_column, alert_dir)
     out_rows = {"shard": [], "rows": [], "kept": [], "bytes": []}
     for path in paths:
         stage.drain_timings()  # zero counters a crashed task may have left
         table = pq.read_table(path)
         outs = []
-        for off in range(0, table.num_rows, cfg.rule_batch_size):
+        # a 0-row shard still runs one empty slice: its output keeps the
+        # normal schema and its data file marks it finished
+        for off in range(0, max(table.num_rows, 1), cfg.rule_batch_size):
             outs.append(stage(table.slice(off, cfg.rule_batch_size)))
         result = pa.concat_tables(outs).drop_columns(
             ["is_empty", "has_autogen"])
         timing = stage.drain_timings()
         total_ms = float(pa.compute.sum(timing.column("ms")).as_py() or 0.0)
-        shard = os.path.basename(path).rsplit(".", 1)[0]
+        shard = _shard_name(path)
         os.makedirs(out_dir, exist_ok=True)
         if metrics_dir is not None:
             # metrics BEFORE the data rename (the completion marker): a
@@ -272,46 +235,49 @@ def _process_shard_batch(batch: pa.Table, *, out_dir: str, metrics_dir,
 
 def run_quality_filewise(input_paths: list[str], out_dir: str,
                          cfg: QualityConfig | None = None, *,
-                         with_scorer: bool = True,
                          ref_sha_column: str | None = None,
-                         resume: bool = True,
                          write_metrics: bool = True):
     """Shard-parallel runner: one task per input file reads, processes
     and writes that shard end-to-end (the reference's
     one-window-per-thread shape, plugins/DQMProcessor.cpp:541-556, made
     cluster-wide). No content ever enters the object store, so it scales
     with cores/nodes until disk bandwidth. Returns the per-shard stats
-    table. Output naming is per-shard and atomic → combine with
-    Manifest for resume."""
-    import functools as _ft
+    (shard, rows, kept, bytes) of the shards this call ran, lazily.
 
+    Outputs are keyed by shard name (file name without extension), so
+    two inputs with the same name raise ``ValueError``. Resume: a rerun
+    into the same ``out_dir`` skips every shard whose
+    ``data/<shard>.parquet`` exists."""
     import ray.data as rd
 
     cfg = cfg or QualityConfig()
-    alert_dir = os.path.join(out_dir, "alerts")
-    if resume:
-        # a shard's output exists only if it completed (atomic rename) —
-        # the anti-join of pending inputs against finished outputs
-        data_dir = os.path.join(out_dir, "data")
-        input_paths = [
-            p for p in input_paths
-            if not os.path.exists(os.path.join(
-                data_dir,
-                os.path.basename(p).rsplit(".", 1)[0] + ".parquet"))]
-    if not input_paths:
+    by_name: dict[str, list[str]] = {}
+    for p in input_paths:
+        by_name.setdefault(_shard_name(p), []).append(p)
+    clashes = {n: ps for n, ps in by_name.items() if len(ps) > 1}
+    if clashes:
+        raise ValueError(
+            f"input shards share an output name, so one would overwrite "
+            f"the other: {clashes}")
+    data_dir = os.path.join(out_dir, "data")
+    # a shard's data file exists only if it completed (atomic rename) —
+    # the anti-join of pending inputs against finished outputs
+    pending = [p for p in input_paths if not os.path.exists(
+        os.path.join(data_dir, _shard_name(p) + ".parquet"))]
+    if not pending:
         import pandas as pd
 
         return rd.from_pandas(pd.DataFrame(
             {"shard": [], "rows": [], "kept": [], "bytes": []}))
-    ds = rd.from_items([{"path": p} for p in input_paths])
-    stats = ds.map_batches(
-        _ft.partial(_process_shard_batch, out_dir=os.path.join(out_dir, "data"),
-                    metrics_dir=(os.path.join(out_dir, "metrics")
-                                 if write_metrics else None),
-                    cfg=cfg, with_scorer=with_scorer,
-                    ref_sha_column=ref_sha_column, alert_dir=alert_dir),
+    ds = rd.from_items([{"path": p} for p in pending])
+    return ds.map_batches(
+        functools.partial(
+            _process_shard_batch, out_dir=data_dir,
+            metrics_dir=(os.path.join(out_dir, "metrics")
+                         if write_metrics else None),
+            cfg=cfg, ref_sha_column=ref_sha_column,
+            alert_dir=os.path.join(out_dir, "alerts")),
         batch_size=1, batch_format="pyarrow", num_cpus=1)
-    return stats
 
 
 def _with_stage_ms(partial: pa.Table, total_ms: float) -> pa.Table:
@@ -326,21 +292,18 @@ def _with_stage_ms(partial: pa.Table, total_ms: float) -> pa.Table:
 
 
 def read_partition_metrics(out_dir: str):
-    """The per-partition opmon table of a finished run — identical shape
-    for both runners: sum the per-shard/per-group partial counters under
-    ``out_dir/metrics`` by partition_id. ``stage_ms`` is the chain
-    wall-ms attributed to the partition (by row share within each
-    shard/group partial)."""
+    """The per-partition opmon table of a finished filewise run: sum the
+    per-shard partial counters under ``out_dir/metrics`` by
+    partition_id. ``stage_ms`` is the chain wall-ms attributed to the
+    partition (by row share within each shard)."""
     import pyarrow.parquet as pq
 
     mdir = os.path.join(out_dir, "metrics")
     files = sorted(os.path.join(mdir, f) for f in os.listdir(mdir)
                    if f.endswith(".parquet"))
     t = pa.concat_tables([pq.read_table(f) for f in files])
-    cols = ["rows", "kept", "scrubbed", "bytes"]
-    if "stage_ms" in t.column_names:
-        cols.append("stage_ms")
-    df = t.to_pandas().groupby("partition_id", as_index=False)[cols].sum()
+    df = t.to_pandas().groupby("partition_id", as_index=False)[
+        ["rows", "kept", "scrubbed", "bytes", "stage_ms"]].sum()
     return df.sort_values("partition_id").reset_index(drop=True)
 
 
@@ -362,7 +325,7 @@ def read_stage_timings(out_dir: str):
 
 # ---------------------------------------------------------------------------
 # metrics (opmon-counters analog, plugins/DQMProcessor.cpp:80-109):
-# per-batch partial counts keyed by partition_id, then one tiny groupby.
+# per-shard partial counts keyed by partition_id, summed at read time.
 # ---------------------------------------------------------------------------
 
 def metrics_partial_batch(batch: pa.Table) -> pa.Table:
@@ -381,89 +344,3 @@ def metrics_partial_batch(batch: pa.Table) -> pa.Table:
         "bytes": pa.array(np.bincount(dense, weights=nbytes).astype(np.int64),
                           pa.int64()),
     })
-
-
-def metrics_for(ds):
-    """Aggregate partial per-batch counters into per-partition metrics.
-    The input should already carry keep/scrubbed/n_chars/partition_id."""
-    from ray.data.aggregate import Sum
-
-    partials = ds.select_columns(
-        ["partition_id", "keep", "scrubbed", "n_chars"]
-    ).map_batches(metrics_partial_batch, batch_format="pyarrow")
-    out = partials.groupby("partition_id").aggregate(
-        Sum("rows", alias_name="rows"),
-        Sum("kept", alias_name="kept"),
-        Sum("scrubbed", alias_name="scrubbed"),
-        Sum("bytes", alias_name="bytes"),
-    )
-    return out
-
-
-# ---------------------------------------------------------------------------
-# resumable runner
-# ---------------------------------------------------------------------------
-
-def run_quality_pipeline(input_paths: list[str], out_dir: str,
-                         cfg: QualityConfig | None = None, *,
-                         with_scorer: bool = True,
-                         ref_sha_column: str | None = None,
-                         group_size: int | None = None,
-                         write_metrics: bool = True) -> dict:
-    """Process input shards in resumable groups.
-
-    Each group: read only that group's files → full stage chain →
-    write to ``out_dir/data/<group>.tmp`` → rename → mark manifest.
-    Rerun after a kill skips completed groups (Manifest semantics).
-    Returns summary counts.
-    """
-    import ray.data as rd
-
-    cfg = cfg or QualityConfig()
-    manifest = Manifest(out_dir)
-    alert_dir = os.path.join(out_dir, "alerts")
-    names = {p: os.path.basename(p) for p in input_paths}
-    pending = [p for p in input_paths if names[p] not in manifest.done]
-    gs = group_size or max(1, len(pending))
-    summary = {"groups_run": 0, "groups_skipped":
-               len(input_paths) - len(pending), "rows": 0, "kept": 0}
-
-    for gi in range(0, len(pending), gs):
-        t_group = time.perf_counter()
-        group = pending[gi:gi + gs]
-        group_id = f"group-{names[group[0]].rsplit('.', 1)[0]}"
-        ds = rd.read_parquet(group)
-        ds = build_quality_pipeline(ds, cfg, with_scorer=with_scorer,
-                                    ref_sha_column=ref_sha_column,
-                                    alert_dir=alert_dir)
-        final_dir = os.path.join(out_dir, "data", group_id)
-        tmp_dir = final_dir + ".tmp"
-        if os.path.exists(tmp_dir):
-            import shutil
-            shutil.rmtree(tmp_dir)
-        ds = ds.drop_columns(["is_empty", "has_autogen"])
-        ds.write_parquet(tmp_dir)
-        if os.path.exists(final_dir):  # crash between rename and mark
-            import shutil
-            shutil.rmtree(final_dir)
-        os.replace(tmp_dir, final_dir)
-
-        # metrics: re-read ONLY the small metadata columns of this group's
-        # output (column-pruned parquet read — negligible vs content I/O)
-        out_ds = rd.read_parquet(final_dir,
-                                 columns=["partition_id", "keep", "scrubbed",
-                                          "n_chars"])
-        m = metrics_for(out_ds).to_pandas()
-        # driver-measured group wall-ms (read→chain→write), apportioned
-        # by row share — the group runner's time_taken granularity
-        group_ms = (time.perf_counter() - t_group) * 1000.0
-        m["stage_ms"] = group_ms * m["rows"] / max(int(m["rows"].sum()), 1)
-        if write_metrics:
-            mdir = os.path.join(out_dir, "metrics")
-            os.makedirs(mdir, exist_ok=True)
-            m.to_parquet(os.path.join(mdir, f"{group_id}.parquet"))
-        summary["rows"] += int(m["rows"].sum())
-        summary["kept"] += int(m["kept"].sum())
-        summary["groups_run"] += 1
-        manifest.mark([names[p] for p in group], group_id=group_id)
-    return summary

@@ -1,9 +1,9 @@
 """Per-batch stages of the quality-filter pipeline.
 
 Each stage is either a pure function ``fn(batch: pa.Table, *, cfg) ->
-pa.Table`` (stateless Ray tasks) or a callable class (actor pool;
-state built once in ``__init__`` — the reference's ChannelMapFiller
-gate analog, include/dqm/ChannelMapFiller.hpp:38-75).
+pa.Table`` (stateless) or a callable class (state built once in
+``__init__`` and reused per worker process — the reference's
+ChannelMapFiller gate analog, include/dqm/ChannelMapFiller.hpp:38-75).
 """
 
 from dqm_ray.stages.rules import heuristic_rules_batch

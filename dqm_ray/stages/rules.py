@@ -304,8 +304,8 @@ def heuristic_rules_batch(batch: pa.Table, *, cfg: QualityConfig) -> pa.Table:
 
 def add_partition_id(batch: pa.Table, *, num_partitions: int) -> pa.Table:
     """Deterministic partition key: hash64(repo) % num_partitions
-    (FIXTURES.md F1). Used by the metrics groupby and the resume
-    manifests; NOT python's randomized hash()."""
+    (FIXTURES.md F1). Keys the per-partition metrics; NOT python's
+    randomized hash()."""
     repo = batch.column("repo").to_numpy(zero_copy_only=False)
     pid = (pd.util.hash_array(repo) % num_partitions).astype(np.int32)
     return batch.append_column("partition_id", pa.array(pid, pa.int32()))

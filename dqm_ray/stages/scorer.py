@@ -1,13 +1,13 @@
 """Stateful scorer stage — language-ID + char-bigram perplexity.
 
-The actor-pool analog of the reference's build-once state (ChannelMap
-filled once then read by every algorithm, include/dqm/ChannelMapFiller.hpp:38-75;
+The analog of the reference's build-once state (ChannelMap filled once
+then read by every algorithm, include/dqm/ChannelMapFiller.hpp:38-75;
 per-channel accumulators in ChannelStream, include/dqm/ChannelStream.hpp:34-250):
-model construction happens ONCE per actor in ``__init__``, per-batch work
-is vectorized numpy over Arrow columns.
+model construction happens ONCE per instance in ``__init__``, per-batch
+work is vectorized numpy over Arrow columns.
 
-Used as ``ds.map_batches(ScorerStage, fn_constructor_kwargs={"cfg": cfg},
-concurrency=N, batch_size=B, batch_format="pyarrow")``.
+Used as one step of the fused chain: ``QualityStage`` builds one
+``ScorerStage(cfg)`` per worker process and calls it on each batch.
 
 The model is injectable (``model_text``): the deterministic self-trained
 char-bigram model is the tested default; a real fastText lid.176 /
@@ -108,7 +108,7 @@ class VectorBigramModel:
 
 
 class ScorerStage:
-    """Callable class for an actor-pool ``map_batches`` stage.
+    """Callable scorer step of the fused chain, built once per worker.
 
     Appends: detected_lang (string), log_ppl (float64),
     scorer_reasons (list<string> in cfg.enabled_scorer_rules order).
@@ -119,7 +119,7 @@ class ScorerStage:
         from dqm_ray.corpus import training_text
 
         self.cfg = cfg or QualityConfig()
-        # once-per-actor state (T1 analog): bigram model + marker tables.
+        # build-once state (T1 analog): bigram model + marker tables.
         # Model source precedence: explicit text > external artifact file
         # (cfg.model_path — the ChannelMapFiller external-fill analog;
         # magic-sniffed: DQMB binary matrix / fastText / KenLM / UTF-8
@@ -201,7 +201,8 @@ class ScorerStage:
         # free from the hits matrix — so the line-split and whitespace
         # trim run on the ~15% candidate subset, not every row.
         declared = batch.column("lang").to_numpy(zero_copy_only=False)
-        decl_idx = np.array([self.lang_index.get(l, -1) for l in declared])
+        decl_idx = np.array([self.lang_index.get(l, -1) for l in declared],
+                            dtype=np.int64)
         decl_hits = np.where(decl_idx >= 0,
                              hits[np.maximum(decl_idx, 0), np.arange(n)], 1)
         mismatch = np.zeros(n, dtype=bool)

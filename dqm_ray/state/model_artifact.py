@@ -8,7 +8,7 @@ typed result, so ``QualityConfig.model_path`` can point at any of:
 - **DQMB** — this repo's native binary bigram artifact (documented
   below): deserialized directly into the scorer's log-probability
   matrix, no retraining. The production shape: train once, ship the
-  binary to every actor.
+  binary to every worker.
 - **fastText ``.bin``** (lid.176.bin layout) — recognized by the
   public int32 magic ``793712314``; the args header (dim, ws, epoch,
   ... t) is parsed to validate the layout, then inference is delegated

@@ -1,23 +1,45 @@
 """End-to-end flagship pipeline on the synthetic corpus via Ray Data:
-keep/drop F1 vs the naive oracle labels, scrubbed-text equality,
-resumability (kill-and-rerun completes from manifest)."""
+keep/drop F1 vs the naive oracle labels, scrubbed-text equality, and
+the filewise runner's per-shard outputs, metrics and resume (rerun
+after a partial run, a SIGKILLed driver, or a crash before the data
+rename)."""
 
 import os
+import signal
+import subprocess
+import sys
+import time
 
-import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from dqm_ray.config import QualityConfig
 from dqm_ray.corpus import generate_corpus, write_corpus
 from dqm_ray.oracle import label_table
 from dqm_ray.pipelines.quality import (build_quality_pipeline,
-                                       run_quality_pipeline)
+                                       read_partition_metrics,
+                                       read_stage_timings,
+                                       run_quality_filewise)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+KEY = ["repo", "path", "commit"]
+COUNTERS = ["partition_id", "rows", "kept", "scrubbed", "bytes"]
 
 
 @pytest.fixture(scope="module")
 def small_cfg():
-    return QualityConfig(scorer_concurrency=2, scorer_batch_size=128,
-                         rule_batch_size=256)
+    return QualityConfig(rule_batch_size=256)
+
+
+def _read_output(out_dir: str) -> pd.DataFrame:
+    """All data/*.parquet rows of a filewise run, in key order."""
+    data = os.path.join(out_dir, "data")
+    files = sorted(f for f in os.listdir(data) if f.endswith(".parquet"))
+    t = pa.concat_tables(pq.read_table(os.path.join(data, f))
+                         for f in files)
+    return t.to_pandas().sort_values(KEY).reset_index(drop=True)
 
 
 def test_e2e_f1_vs_oracle(ray_session, small_cfg, tmp_path_factory):
@@ -50,75 +72,52 @@ def test_e2e_f1_vs_oracle(ray_session, small_cfg, tmp_path_factory):
     assert scrub_match == n
 
 
-def test_resume_from_manifest(ray_session, small_cfg, tmp_path_factory):
-    src = str(tmp_path_factory.mktemp("corpus_src"))
-    out1 = str(tmp_path_factory.mktemp("out"))
-    paths = write_corpus(src, n_rows=400, seed=31, n_shards=4)
-
-    # run only the first half (simulates a killed run that completed
-    # 2 of 4 groups before dying)
-    s1 = run_quality_pipeline(paths[:2], out1, small_cfg, group_size=1,
-                              write_metrics=False)
-    assert s1["groups_run"] == 2
-
-    # rerun over the full input: completed shards must be skipped
-    s2 = run_quality_pipeline(paths, out1, small_cfg, group_size=1,
-                              write_metrics=False)
-    assert s2["groups_skipped"] == 2 and s2["groups_run"] == 2
-
-    # third run: everything skipped, nothing recomputed
-    s3 = run_quality_pipeline(paths, out1, small_cfg, group_size=1)
-    assert s3["groups_run"] == 0 and s3["groups_skipped"] == 4
-
-    # total output rows == input rows
-    import ray.data as rd
-
-    total = rd.read_parquet(os.path.join(out1, "data")).count()
-    assert total == 400
-
-
-def test_metrics_sum_to_totals(ray_session, small_cfg):
-    import ray.data as rd
-
-    from dqm_ray.pipelines.quality import metrics_for
-
-    table = generate_corpus(300, seed=5).drop_columns(["pattern"])
-    ds = build_quality_pipeline(rd.from_arrow(table), small_cfg)
-    m = metrics_for(ds).to_pandas()
+def test_metrics_sum_to_totals(ray_session, small_cfg, tmp_path):
+    """The per-partition metrics of a filewise run account for every
+    input row and every content char."""
+    paths = write_corpus(str(tmp_path / "src"), n_rows=300, seed=5,
+                         n_shards=3)
+    run_quality_filewise(paths, str(tmp_path / "out"),
+                         small_cfg).materialize()
+    m = read_partition_metrics(str(tmp_path / "out"))
+    table = pa.concat_tables(pq.read_table(p) for p in paths)
     assert m["rows"].sum() == 300
     assert 0 < m["kept"].sum() < 300
     assert (m["partition_id"] >= 0).all()
-    assert m["bytes"].sum() == sum(len(c) for c in table["content"].to_pylist())
+    assert m["bytes"].sum() == sum(len(c) for c in
+                                   table["content"].to_pylist())
 
 
-def test_fused_equals_staged(ray_session, small_cfg):
-    """The manually-fused chain and the six-stage chain are the same
-    function of the input."""
+def test_resume_from_manifest(ray_session, small_cfg, tmp_path_factory):
+    """Resume: the finished data/<shard>.parquet files are the manifest.
+    A rerun after a partial run computes only the missing shards, and
+    the output holds every input row."""
     import ray.data as rd
 
-    from dqm_ray.pipelines.quality import build_quality_pipeline
+    src = str(tmp_path_factory.mktemp("corpus_src"))
+    out = str(tmp_path_factory.mktemp("out"))
+    paths = write_corpus(src, n_rows=400, seed=31, n_shards=4)
 
-    table = generate_corpus(200, seed=41).drop_columns(["pattern"])
-    a = build_quality_pipeline(rd.from_arrow(table), small_cfg,
-                               fused=True).to_pandas()
-    b = build_quality_pipeline(rd.from_arrow(table), small_cfg,
-                               fused=False).to_pandas()
-    key = ["repo", "path", "commit"]
-    a = a.sort_values(key).reset_index(drop=True)
-    b = b.sort_values(key).reset_index(drop=True)
-    assert sorted(a.columns) == sorted(b.columns)
-    for col in ("keep", "content", "sha256", "detected_lang", "log_ppl"):
-        assert a[col].tolist() == b[col].tolist(), col
+    # run only the first half (simulates a killed run that completed
+    # 2 of 4 shards before dying)
+    st1 = run_quality_filewise(paths[:2], out, small_cfg,
+                               write_metrics=False).to_pandas()
+    assert len(st1) == 2
+
+    # rerun over the full input: completed shards must be skipped
+    st2 = run_quality_filewise(paths, out, small_cfg,
+                               write_metrics=False).to_pandas()
+    assert len(st2) == 2 and st2["rows"].sum() == 200
+
+    # total output rows == input rows
+    assert rd.read_parquet(os.path.join(out, "data")).count() == 400
 
 
 def test_filewise_runner_and_resume(ray_session, small_cfg, tmp_path_factory):
     """Filewise runner: per-shard atomic outputs; rerun skips finished
-    shards; results match the Dataset-chain pipeline."""
-    import os
-
+    shards; a third run recomputes nothing; results match the
+    Dataset-chain pipeline."""
     import ray.data as rd
-
-    from dqm_ray.pipelines.quality import run_quality_filewise
 
     src = str(tmp_path_factory.mktemp("fw_src"))
     out = str(tmp_path_factory.mktemp("fw_out"))
@@ -129,18 +128,21 @@ def test_filewise_runner_and_resume(ray_session, small_cfg, tmp_path_factory):
     # rerun over all 3: only the missing shard runs
     st2 = run_quality_filewise(paths, out, small_cfg).to_pandas()
     assert len(st2) == 1 and st2["rows"].sum() == 100
+    # third run: everything finished, nothing recomputed or rewritten
+    data = os.path.join(out, "data")
+    mtimes = {f: os.stat(os.path.join(data, f)).st_mtime_ns
+              for f in os.listdir(data)}
+    st3 = run_quality_filewise(paths, out, small_cfg).to_pandas()
+    assert len(st3) == 0
+    assert mtimes == {f: os.stat(os.path.join(data, f)).st_mtime_ns
+                      for f in os.listdir(data)}
 
-    total = rd.read_parquet(os.path.join(out, "data"))
-    assert total.count() == 300
+    assert rd.read_parquet(data).count() == 300
     # equivalence with the Dataset-chain pipeline
-    from dqm_ray.pipelines.quality import build_quality_pipeline
-
     chain = build_quality_pipeline(
-        rd.read_parquet(paths), small_cfg).to_pandas()
-    fw = total.to_pandas()
-    key = ["repo", "path", "commit"]
-    chain = chain.sort_values(key).reset_index(drop=True)
-    fw = fw.sort_values(key).reset_index(drop=True)
+        rd.read_parquet(paths), small_cfg).to_pandas() \
+        .sort_values(KEY).reset_index(drop=True)
+    fw = _read_output(out)
     for col in ("keep", "content", "sha256"):
         assert chain[col].tolist() == fw[col].tolist(), col
 
@@ -151,11 +153,6 @@ def test_sink_row_group_cap(ray_session, small_cfg, tmp_path_factory):
     a single row can exceed any cap, exactly like the reference's
     oversized-single-fragment case)."""
     import dataclasses
-    import os
-
-    import pyarrow.parquet as pq
-
-    from dqm_ray.pipelines.quality import run_quality_filewise
 
     src = str(tmp_path_factory.mktemp("cap_src"))
     out = str(tmp_path_factory.mktemp("cap_out"))
@@ -181,14 +178,8 @@ def test_filewise_tamper_fails_fast(ray_session, small_cfg,
     """sha256 invariant violation inside the filewise runner raises and
     leaves the shard unrecorded (rerunnable)."""
     import glob
-    import os
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-    import pytest as _pt
 
     from dqm_ray.stages.lineage import sha256_column
-    from dqm_ray.pipelines.quality import run_quality_filewise
 
     src = str(tmp_path_factory.mktemp("tamper_src"))
     out = str(tmp_path_factory.mktemp("tamper_out"))
@@ -201,7 +192,7 @@ def test_filewise_tamper_fails_fast(ray_session, small_cfg,
                      pa.array(c, pa.large_string()))
     path = os.path.join(src, "shard0.parquet")
     pq.write_table(t, path)
-    with _pt.raises(Exception, match="lineage|Lineage"):
+    with pytest.raises(Exception, match="lineage|Lineage"):
         run_quality_filewise([path], out, small_cfg,
                              ref_sha_column="sha256_ref").to_pandas()
     assert not glob.glob(os.path.join(out, "data", "shard0.parquet"))
@@ -210,32 +201,26 @@ def test_filewise_tamper_fails_fast(ray_session, small_cfg,
 
 def test_filewise_metrics_match_pipeline_runner(ray_session, small_cfg,
                                                 tmp_path):
-    """K3 opmon parity: the fast filewise runner and the resumable
-    group runner report the SAME per-partition metrics table."""
-    from dqm_ray.corpus import write_corpus
-    from dqm_ray.pipelines.quality import (read_partition_metrics,
-                                           read_stage_timings,
-                                           run_quality_filewise,
-                                           run_quality_pipeline)
-
+    """K3 opmon parity: the per-partition metrics the runner writes
+    equal counts taken from its own output parquet, and the per-stage
+    timings cover every row of every stage."""
     paths = write_corpus(str(tmp_path / "src"), n_rows=400, seed=11,
                          n_shards=4)
     run_quality_filewise(paths, str(tmp_path / "fw"), small_cfg) \
         .materialize()
-    run_quality_pipeline(paths, str(tmp_path / "gr"), small_cfg,
-                         group_size=2)
     a = read_partition_metrics(str(tmp_path / "fw"))
-    b = read_partition_metrics(str(tmp_path / "gr"))
-    counters = ["partition_id", "rows", "kept", "scrubbed", "bytes"]
-    assert a[counters].to_dict("records") == b[counters].to_dict("records")
+    out = _read_output(str(tmp_path / "fw"))
+    b = out.groupby("partition_id").agg(
+        rows=("keep", "size"), kept=("keep", "sum"),
+        scrubbed=("scrubbed", "sum"), bytes=("n_chars", "sum")) \
+        .reset_index()
+    assert a[COUNTERS].astype("int64").to_dict("records") == \
+        b[COUNTERS].astype("int64").to_dict("records")
     assert a["rows"].sum() == 400
-    # stage_ms: wall-time attribution is runner-specific (exact chain ms
-    # filewise; group wall ms grouped) but always present and positive
-    assert a["stage_ms"].sum() > 0 and b["stage_ms"].sum() > 0
 
-    # per-stage opmon breakdown (filewise): every stage saw every row,
-    # partials sum to totals, and the attributed per-partition stage_ms
-    # equals the summed scheduled chain time
+    # per-stage opmon breakdown: every stage saw every row, partials sum
+    # to totals, and the attributed per-partition stage_ms equals the
+    # summed chain time
     t = read_stage_timings(str(tmp_path / "fw"))
     assert set(t["stage"]) == {"normalize", "partition", "lineage",
                                "rules", "scorer", "finalize", "scrub"}
@@ -244,16 +229,148 @@ def test_filewise_metrics_match_pipeline_runner(ray_session, small_cfg,
     assert abs(a["stage_ms"].sum() - t["ms"].sum()) < 1e-6
 
 
+def test_filewise_empty_shard(ray_session, small_cfg, tmp_path):
+    """A 0-row input shard among normal shards: the run completes, the
+    empty shard gets a 0-row output with the normal schema and a
+    rows=0 stats row, and a rerun skips it."""
+    paths = write_corpus(str(tmp_path / "src"), n_rows=200, seed=3,
+                         n_shards=2)
+    empty = str(tmp_path / "src" / "empty_0000.parquet")
+    pq.write_table(pq.read_table(paths[0]).slice(0, 0), empty)
+    out = str(tmp_path / "out")
+
+    st = run_quality_filewise([paths[0], empty, paths[1]], out,
+                              small_cfg).to_pandas()
+    st = st.set_index("shard")
+    assert st.loc["empty_0000", ["rows", "kept", "bytes"]].tolist() == \
+        [0, 0, 0]
+    assert st["rows"].sum() == 200
+    e = pq.read_table(os.path.join(out, "data", "empty_0000.parquet"))
+    full = pq.read_table(os.path.join(out, "data",
+                                      "code_files_0000.parquet"))
+    assert e.num_rows == 0 and e.schema.equals(full.schema)
+    assert read_partition_metrics(out)["rows"].sum() == 200
+    assert len(run_quality_filewise([paths[0], empty, paths[1]], out,
+                                    small_cfg).to_pandas()) == 0
+
+
+def test_filewise_duplicate_shard_names_raise(ray_session, small_cfg,
+                                              tmp_path):
+    """Outputs are keyed by file name: two inputs with the same name
+    from different directories are refused before any task runs."""
+    a = write_corpus(str(tmp_path / "a"), n_rows=100, seed=1, n_shards=1)
+    b = write_corpus(str(tmp_path / "b"), n_rows=100, seed=2, n_shards=1)
+    out = str(tmp_path / "out")
+    with pytest.raises(ValueError, match="code_files_0000") as e:
+        run_quality_filewise(a + b, out, small_cfg).materialize()
+    assert a[0] in str(e.value) and b[0] in str(e.value)
+    assert not os.path.exists(out)
+
+
+@pytest.fixture(scope="module")
+def crash_case(ray_session, small_cfg, tmp_path_factory):
+    """Eight shards and a clean filewise run over them: the reference
+    for the crash tests."""
+    paths = write_corpus(str(tmp_path_factory.mktemp("crash_src")),
+                         n_rows=4000, seed=29, n_shards=8)
+    clean = str(tmp_path_factory.mktemp("crash_clean"))
+    run_quality_filewise(paths, clean, small_cfg).materialize()
+    return paths, clean
+
+
+_KILLED_DRIVER = """
+import sys
+import ray
+import ray.data
+from dqm_ray.config import QualityConfig
+from dqm_ray.pipelines.quality import run_quality_filewise
+
+address, out, *paths = sys.argv[1:]
+ray.init(address=address, logging_level="ERROR")
+ray.data.DataContext.get_current().enable_progress_bars = False
+run_quality_filewise(paths, out, QualityConfig(rule_batch_size=256)) \
+    .materialize()
+"""
+
+
+def test_filewise_resume_after_driver_sigkill(ray_session, small_cfg,
+                                              crash_case, tmp_path):
+    """A second driver joins this session's cluster and runs the filewise
+    runner; it is SIGKILLed once its first shard is written. The rerun
+    finishes the rest: every input shard appears exactly once, and the
+    output and metrics equal a clean run's."""
+    import ray
+
+    paths, clean = crash_case
+    out = str(tmp_path / "out")
+    data = os.path.join(out, "data")
+    env = dict(os.environ, PYTHONPATH=ROOT)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _KILLED_DRIVER,
+         ray.get_runtime_context().gcs_address, out, *paths],
+        cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        while not (os.path.isdir(data) and any(
+                f.endswith(".parquet") for f in os.listdir(data))):
+            assert proc.poll() is None, "driver exited before any shard"
+            assert time.monotonic() < deadline, "no shard was written"
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGKILL)
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    # the dead driver's workers are torn down by the cluster; wait until
+    # its job is dead and its in-flight files have settled
+    deadline = time.monotonic() + 60
+    while not any(j["IsDead"] and int(j["DriverPid"]) == proc.pid
+                  for j in ray._private.state.jobs()):
+        assert time.monotonic() < deadline, "killed job never died"
+        time.sleep(0.1)
+    listing = None
+    while listing != sorted(os.listdir(data)):
+        listing = sorted(os.listdir(data))
+        time.sleep(1.0)
+
+    st = run_quality_filewise(paths, out, small_cfg).to_pandas()
+    done = [f for f in listing if f.endswith(".parquet")]
+    assert len(done) < len(paths), "the kill came after the run ended"
+    assert len(st) == len(paths) - len(done)
+    assert sorted(f for f in os.listdir(data) if f.endswith(".parquet")) \
+        == sorted(os.path.basename(p) for p in paths)
+    got, want = _read_output(out), _read_output(clean)
+    assert len(got) == 4000 and not got.duplicated(KEY).any()
+    pd.testing.assert_frame_equal(got, want)
+    assert read_partition_metrics(out)[COUNTERS].equals(
+        read_partition_metrics(clean)[COUNTERS])
+
+
+def test_filewise_crash_before_data_rename(ray_session, small_cfg,
+                                           crash_case, tmp_path):
+    """A crash after a shard's metrics are written but before its data
+    rename leaves metrics without data. The rerun redoes only that
+    shard and overwrites its metrics: no double count."""
+    import shutil
+
+    paths, clean = crash_case
+    out = str(tmp_path / "out")
+    shutil.copytree(clean, out)
+    os.remove(os.path.join(out, "data", "code_files_0005.parquet"))
+
+    st = run_quality_filewise(paths, out, small_cfg).to_pandas()
+    assert st["shard"].tolist() == ["code_files_0005"]
+    assert read_partition_metrics(out)[COUNTERS].equals(
+        read_partition_metrics(clean)[COUNTERS])
+    pd.testing.assert_frame_equal(_read_output(out), _read_output(clean))
+
+
 def test_unicode_rows_match_oracle(ray_session, small_cfg):
     """The corpus is all-ASCII, so the fused chain's ASCII fast paths
     carry the F1 test; this pins the utf8 FALLBACK path (one non-ASCII
     row disables the fast paths for its whole batch) against the naive
     oracle — labels, sha256 and scrubbed content must all agree."""
-    import pyarrow as pa
     import ray.data as rd
-
-    from dqm_ray.oracle import label_table
-    from dqm_ray.pipelines.quality import build_quality_pipeline
 
     rows = [
         "def f():\n    return 'café'\n" * 12,          # non-ascii, kept?

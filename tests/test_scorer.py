@@ -80,10 +80,10 @@ def test_binary_model_artifact_roundtrip(ray_session, tmp_path):
     save_bigram_artifact(str(artifact), src.log_p)
 
     table = generate_corpus(120, seed=29).drop_columns(["pattern"])
-    cfg = QualityConfig(model_path=str(artifact), scorer_concurrency=2)
+    cfg = QualityConfig(model_path=str(artifact))
     out = build_quality_pipeline(rd.from_arrow(table), cfg).to_pandas()
     # same scores as constructing the stage with the source model text
-    cfg2 = QualityConfig(scorer_concurrency=2)
+    cfg2 = QualityConfig()
     from dqm_ray.stages.scorer import ScorerStage
 
     stage = ScorerStage(cfg2, model_text="zq xv qz vx " * 2000)
@@ -157,11 +157,11 @@ def test_external_model_artifact_injection(ray_session, tmp_path):
     # high-perplexity under it
     artifact = tmp_path / "model.txt"
     artifact.write_text("zq xv qz vx " * 2000)
-    cfg = QualityConfig(model_path=str(artifact), scorer_concurrency=2)
+    cfg = QualityConfig(model_path=str(artifact))
 
     table = generate_corpus(150, seed=23).drop_columns(["pattern"])
     base = build_quality_pipeline(
-        rd.from_arrow(table), QualityConfig(scorer_concurrency=2)).to_pandas()
+        rd.from_arrow(table), QualityConfig()).to_pandas()
     injected = build_quality_pipeline(rd.from_arrow(table), cfg).to_pandas()
     key = ["repo", "path", "commit"]
     base = base.sort_values(key).reset_index(drop=True)
