@@ -9,16 +9,22 @@ shuffle):
    dictionary-encodes them (one Arrow C++ hash-table pass; only the
    DISTINCT lines are hashed — twice, with independent siphash keys,
    for a 128-bit combined fingerprint), dedupes per doc, and emits
-   ``(part, h1, h2, n_docs)`` partials. Because most corpus lines are
-   globally unique, partials barely compress — so the global merge is a
-   64-way hash-part groupby with one vectorized lexsort+reduceat merge
-   per part, and the ``>= min_docs`` filter runs INSIDE the reducer so
-   only surviving fingerprints leave the shuffle.
-2. **Clean pass** — the frequent 128-bit fingerprints broadcast once
-   (16 B per frequent line — smaller than the line text the previous
-   3-pass design shipped); each batch re-encodes its distinct lines,
-   probes the sorted pair set, filters the flattened line array and
-   rebuilds the list offsets.
+   ``(part, h1, h2, n_docs)`` partials. The global merge is one
+   vectorized lexsort+reduceat over the partials with the
+   ``>= min_docs`` filter inside, run by
+   :func:`~dqm_ray.state.reduce.reduce_partials`: up to
+   ``SMALL_REDUCE_BYTES`` of partials in ONE remote task, whose
+   lexsorted frequent pairs go straight to the object store (no
+   shuffle, nothing on the driver). Past it, because most corpus lines
+   are globally unique and partials barely compress, a 64-way
+   hash-part groupby runs the same merge per part, and the driver
+   collects the surviving fingerprints and puts them in the object
+   store.
+2. **Clean pass** — every batch reads the frequent 128-bit
+   fingerprints from the object store (16 B per frequent line —
+   smaller than the line text the previous 3-pass design shipped),
+   re-encodes its distinct lines, probes the sorted pair set, filters
+   the flattened line array and rebuilds the list offsets.
 
 The separate exact-text verify pass of the earlier 3-pass design is
 subsumed by the 128-bit fingerprint: counting and membership are both
@@ -51,6 +57,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 POS_BITS = 20  # max 2^20 lines per doc (packed-position radix)
+ID_BITS = 63 - POS_BITS  # ids in [-2^43, 2^43) beside it in one int64
 _K1 = "a3f1c2d4e5b60798"  # independent 16-byte siphash keys
 _K2 = "98706b5e4d2c1f3a"
 
@@ -67,6 +74,32 @@ def _line_arrays(batch: pa.Table, text_col: str):
         .astype(np.int64)
     rows = np.repeat(np.arange(len(batch), dtype=np.int64), counts)
     return lines, flat, rows
+
+
+def _packed_positions(ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``(id << POS_BITS) + line index within its doc`` per flat line,
+    where ``rows`` (non-decreasing) maps each line to its doc's row in
+    ``ids``. Ids may be negative (hashes viewed as int64): the decode
+    ``packed >> POS_BITS`` is an arithmetic shift. Raises ``ValueError``
+    when an id is outside [-2^43, 2^43) or a doc has more than 2^20
+    lines, since either would collide with the positions of another
+    doc."""
+    if len(ids) and (int(ids.min()) < -(1 << ID_BITS)
+                     or int(ids.max()) >= 1 << ID_BITS):
+        raise ValueError(
+            f"ids must lie in [-2^{ID_BITS}, 2^{ID_BITS}) to pack line "
+            f"positions; got [{int(ids.min())}, {int(ids.max())}]")
+    if not len(rows):
+        return np.empty(0, np.int64)
+    starts = np.r_[0, np.nonzero(np.diff(rows))[0] + 1]
+    seg_len = np.diff(np.r_[starts, len(rows)])
+    if int(seg_len.max()) > 1 << POS_BITS:
+        raise ValueError(
+            f"a doc has {int(seg_len.max())} lines; packed line positions "
+            f"allow at most 2^{POS_BITS}")
+    line_idx = np.arange(len(rows), dtype=np.int64) \
+        - np.repeat(starts, seg_len)
+    return (ids[rows] << POS_BITS) + line_idx
 
 
 def _encode_lines2(flat: pa.Array):
@@ -111,6 +144,10 @@ def _doc_distinct_counts(codes: np.ndarray, rows: np.ndarray,
     # only needs bit_length(dict_size) low bits (both fit easily —
     # codes index a per-batch dictionary, rows index a per-batch row)
     bits = max(int(dict_size - 1).bit_length(), 1)
+    if bits >= 63 or int(rows.max()) >= 1 << (63 - bits):
+        raise ValueError(
+            f"(row, code) pack overflows int64: {int(rows.max()) + 1} rows "
+            f"need more than {63 - bits} bits beside {bits} code bits")
     packed = np.sort((rows << bits) | codes)
     first = np.ones(len(packed), dtype=bool)
     first[1:] = packed[1:] != packed[:-1]
@@ -169,11 +206,8 @@ def remove_boilerplate_lines(ds, *, text_col: str = "text",
     """
     import ray
 
-    # Most corpus lines are unique, so per-batch partials barely
-    # compress and a full sort-groupby over them is the dominant cost.
-    # Instead: 64-way hash-part groupby (sort key = tiny int32) and one
-    # vectorized lexsort+reduceat merge per part, with the >= min_docs
-    # filter INSIDE the reducer so only survivors leave the shuffle.
+    from dqm_ray.state.reduce import reduce_partials
+
     def count_partial(batch: pa.Table) -> pa.Table:
         _, flat, rows = _line_arrays(batch, text_col)
         codes, h1, h2, dic = _encode_lines2(flat)
@@ -188,23 +222,37 @@ def remove_boilerplate_lines(ds, *, text_col: str = "text",
             "h2": pa.array(h2[cs], pa.int64()),
             "n": pa.array(n_docs, pa.int64())})
 
-    def reduce_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        k1, k2 = _reduce_pair_counts(
-            df["h1"].to_numpy(), df["h2"].to_numpy(),
-            df["n"].to_numpy(), min_docs)
-        return pd.DataFrame({"h1": k1, "h2": k2})
+    def small(partials: pa.Table):
+        if not partials.num_rows:
+            return np.empty(0, np.int64), np.empty(0, np.int64)
+        return _reduce_pair_counts(
+            partials.column("h1").to_numpy(),
+            partials.column("h2").to_numpy(),
+            partials.column("n").to_numpy(), min_docs)
 
-    freq = ds.map_batches(count_partial, batch_format="pyarrow") \
-        .groupby("part").map_groups(reduce_pairs, batch_format="pandas") \
-        .to_pandas()
-    # an all-filtered Dataset can surface as a 0-column DataFrame
-    if "h1" in freq.columns and len(freq):
-        fo = np.lexsort((freq["h2"].to_numpy(), freq["h1"].to_numpy()))
-        a1 = freq["h1"].to_numpy()[fo]
-        a2 = freq["h2"].to_numpy()[fo]
-    else:
-        a1 = a2 = np.empty(0, np.int64)
-    freq_ref = ray.put((a1, a2))
+    # Most corpus lines are unique, so per-batch partials barely
+    # compress and a full sort-groupby over them is the dominant cost.
+    # Instead: 64-way hash-part groupby (sort key = tiny int32) and one
+    # vectorized lexsort+reduceat merge per part, with the >= min_docs
+    # filter INSIDE the reducer so only survivors leave the shuffle.
+    def large(partials):
+        def reduce_pairs(df: pd.DataFrame) -> pd.DataFrame:
+            k1, k2 = _reduce_pair_counts(
+                df["h1"].to_numpy(), df["h2"].to_numpy(),
+                df["n"].to_numpy(), min_docs)
+            return pd.DataFrame({"h1": k1, "h2": k2})
+
+        freq = partials.groupby("part") \
+            .map_groups(reduce_pairs, batch_format="pandas").to_pandas()
+        # an all-filtered Dataset can surface as a 0-column DataFrame
+        if "h1" in freq.columns and len(freq):
+            fo = np.lexsort((freq["h2"].to_numpy(), freq["h1"].to_numpy()))
+            return freq["h1"].to_numpy()[fo], freq["h2"].to_numpy()[fo]
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+
+    freq_ref = reduce_partials(
+        ds.map_batches(count_partial, batch_format="pyarrow"), small,
+        large, what="remove_boilerplate_lines")
 
     def clean(batch: pa.Table) -> pa.Table:
         fa1, fa2 = ray.get(freq_ref)
@@ -250,8 +298,9 @@ def remove_boilerplate_lines_bucketed(ds, workdir: str, *,
     """Zero-broadcast boilerplate removal — identical semantics to
     :func:`remove_boilerplate_lines` but nothing is ever collected to
     the driver or broadcast, so the n_lines/min_docs frequent-set bound
-    disappears. Requires an INTEGER ``id_col`` (< 2^43) and docs of
-    < 2^20 lines (packed-position radix, as in paragraphs.py).
+    disappears. Requires an INTEGER ``id_col`` in [-2^43, 2^43) and docs of
+    at most 2^20 lines (packed-position radix, as in paragraphs.py);
+    anything outside raises ``ValueError``.
 
     Shape (mirrors ``dedup_paragraphs_bucketed``):
 
@@ -307,14 +356,8 @@ def remove_boilerplate_lines_bucketed(ds, workdir: str, *,
         m = long_enough[codes] if len(codes) else np.zeros(0, bool)
         ids = batch.column(id_col).to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        cs, rs = codes[m], rows[m]
-        line_idx = np.zeros(len(rows), np.int64)
-        if len(rows):
-            starts = np.r_[0, np.nonzero(np.diff(rows))[0] + 1]
-            seg_len = np.diff(np.r_[starts, len(rows)])
-            line_idx = np.arange(len(rows), dtype=np.int64) \
-                - np.repeat(starts, seg_len)
-        packed = (ids[rs] << POS_BITS) + line_idx[m]
+        cs = codes[m]
+        packed = _packed_positions(ids, rows)[m]
         return pa.table({
             "part": pa.array((h1[cs] & (num_parts - 1)).astype(np.int32)),
             "h1": pa.array(h1[cs], pa.int64()),
@@ -366,20 +409,13 @@ def remove_boilerplate_lines_bucketed(ds, workdir: str, *,
                 .astype(np.int64)
             counts = pc.list_value_length(lines) \
                 .to_numpy(zero_copy_only=False).astype(np.int64)
-            if len(rows):
-                starts = np.r_[0, np.nonzero(np.diff(rows))[0] + 1]
-                seg_len = np.diff(np.r_[starts, len(rows)])
-                line_idx = np.arange(len(rows), dtype=np.int64) \
-                    - np.repeat(starts, seg_len)
-                packed = (ids[rows] << POS_BITS) + line_idx
-                if len(w):
-                    pos = np.searchsorted(w, packed)
-                    rm = (pos < len(w)) \
-                        & (w[np.minimum(pos, len(w) - 1)] == packed)
-                else:
-                    rm = np.zeros(len(packed), bool)
+            packed = _packed_positions(ids, rows)
+            if len(w):
+                pos = np.searchsorted(w, packed)
+                rm = (pos < len(w)) \
+                    & (w[np.minimum(pos, len(w) - 1)] == packed)
             else:
-                rm = np.empty(0, bool)
+                rm = np.zeros(len(packed), bool)
             kept = flat.filter(pa.array(~rm))
             ends = np.cumsum(counts)
             rm_cum = np.concatenate(([0],

@@ -10,8 +10,9 @@ with groupbys (driver union-find only when the candidate-pair set is
 provably small, which it is at any dup rate worth deduping).
 
 Exact dedup mirrors the reference's frame dedup — first-wins on a key
-tuple via a set (include/dqm/ChannelMap.hpp:76-89) — as
-hash-partition + per-group min-id.
+tuple via a set (include/dqm/ChannelMap.hpp:76-89) — as a per-batch
+min-id combine and one size-aware reduce of the partials
+(:mod:`dqm_ray.state.reduce`).
 """
 
 from __future__ import annotations
@@ -38,33 +39,56 @@ def exact_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     """First-wins exact dedup: one row per distinct text, winner = min id.
 
     Shape (content never enters a shuffle, no per-group Python):
-    1. one content pass emits compact (id, sha256) rows;
-    2. ``groupby(sha).min(id)`` — the only shuffle moves ~72 B/row and
-       reduces via the built-in Min aggregate (no map_groups);
-    3. the winner-id set (one int64 per DISTINCT text) is broadcast via
-       ``ray.put`` and the original dataset is filtered in place.
+    1. one content pass emits compact (id, sha256) rows, combined per
+       batch to one (min id, sha256) row per distinct text;
+    2. :func:`~dqm_ray.state.reduce.reduce_partials` takes the min id
+       per sha256 over all partials. Up to ``SMALL_REDUCE_BYTES`` of
+       partials one remote task reduces them and writes the sorted
+       winner-id array (8 B per DISTINCT text) straight to the object
+       store — no shuffle, nothing collected on the driver. Past it,
+       ``groupby(sha).min(id)`` shuffles the partials (~72 B/row) and
+       the driver collects the winners and puts them in the object
+       store;
+    3. every batch of the original dataset keeps the rows whose id is
+       in the winner array (searchsorted in place).
 
     sha256 as the equality key makes hash-equal ≡ text-equal for any
     realistic corpus (2^128 birthday bound), matching the GROUP BY text
     oracle — a 64-bit hash provably collides near 10^9-10^10 docs.
-    Scale bound: the broadcast winner set costs 8 B x distinct docs in
-    the object store; past ~10^10 distinct docs swap step 3 for an
-    id-keyed shuffle join of winners against the corpus (one content
-    shuffle) or a sorted-parquet merge.
+    Scale bound: the winner array lives in the object store, 8 B x
+    distinct docs, and every batch reads it zero-copy; past ~10^10
+    distinct docs swap step 3 for an id-keyed shuffle join of winners
+    against the corpus (one content shuffle) or a sorted-parquet merge.
     """
     import ray
+
+    from dqm_ray.state.reduce import reduce_partials
 
     def key_batch(batch: pa.Table) -> pa.Table:
         from dqm_ray.stages.lineage import sha256_column
 
         sha = sha256_column(batch.column(text_col).combine_chunks())
-        return pa.table({id_col: batch.column(id_col), "__sha": sha})
+        # map-side combine: one (min id, sha) row per distinct text
+        mins = pa.table({id_col: batch.column(id_col), "__sha": sha}) \
+            .group_by("__sha").aggregate([(id_col, "min")])
+        return pa.table({id_col: mins.column(f"{id_col}_min"),
+                         "__sha": mins.column("__sha")})
 
-    winners = ds.map_batches(key_batch, batch_format="pyarrow") \
-        .groupby("__sha").min(id_col)
-    win_ids = np.sort(
-        winners.to_pandas()[f"min({id_col})"].to_numpy(dtype=np.int64))
-    ref = ray.put(win_ids)
+    def small(partials: pa.Table) -> np.ndarray:
+        if not partials.num_rows:
+            return np.empty(0, np.int64)
+        mins = partials.group_by("__sha").aggregate([(id_col, "min")])
+        return np.sort(mins.column(f"{id_col}_min").to_numpy()
+                       .astype(np.int64))
+
+    def large(partials) -> np.ndarray:
+        winners = partials.groupby("__sha").min(id_col)
+        return np.sort(
+            winners.to_pandas()[f"min({id_col})"].to_numpy(dtype=np.int64))
+
+    ref = reduce_partials(
+        ds.map_batches(key_batch, batch_format="pyarrow"), small, large,
+        what="exact_dedup")
 
     def keep_winners(batch: pa.Table) -> pa.Table:
         w = ray.get(ref)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import os
 import time
+import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -176,6 +177,29 @@ def _shard_name(path: str) -> str:
     return os.path.basename(path).rsplit(".", 1)[0]
 
 
+def _write_parquet_atomic(table: pa.Table, path: str, **kw) -> None:
+    """Write ``table`` to ``path`` through a temp file of this writer's
+    own (pid + uuid4) and one ``os.replace``. Two writers of one path (a
+    rerun beside a killed driver's live task, two runs into one out_dir)
+    never write into the same file nor rename each other's temp file
+    away, and a reader sees one writer's whole file. A failed write or
+    rename removes its temp file; a crash between the two can still
+    leave a hidden ``.<name>.<pid>.<uuid>.tmp`` behind."""
+    import pyarrow.parquet as pq
+
+    d, name = os.path.split(path)
+    tmp = os.path.join(d, f".{name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
+    try:
+        pq.write_table(table, tmp, **kw)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+
+
 def _process_shard_batch(batch: pa.Table, *, out_dir: str, metrics_dir,
                          cfg, ref_sha_column, alert_dir) -> pa.Table:
     """Filewise worker: for each input shard path row, read the shard,
@@ -206,24 +230,22 @@ def _process_shard_batch(batch: pa.Table, *, out_dir: str, metrics_dir,
             # metrics BEFORE the data rename (the completion marker): a
             # crash in between reruns the shard and overwrites them
             os.makedirs(metrics_dir, exist_ok=True)
-            pq.write_table(
+            _write_parquet_atomic(
                 _with_stage_ms(metrics_partial_batch(result), total_ms),
                 os.path.join(metrics_dir, f"{shard}.parquet"))
             # exact per-stage breakdown (opmon time_taken parity)
             tdir = os.path.join(metrics_dir, "timing")
             os.makedirs(tdir, exist_ok=True)
-            pq.write_table(
+            _write_parquet_atomic(
                 timing.append_column("shard", pa.array(
                     [shard] * timing.num_rows, pa.string())),
                 os.path.join(tdir, f"{shard}.parquet"))
-        tmp = os.path.join(out_dir, f".{shard}.tmp")
         # K2 message-split analog: cap row-group bytes so no output read
         # unit exceeds cfg.max_row_group_bytes (ChannelStream.hpp:170-221)
         per_row = max(1, result.nbytes // max(1, result.num_rows))
-        pq.write_table(result, tmp,
-                       row_group_size=max(1, cfg.max_row_group_bytes
-                                          // per_row))
-        os.replace(tmp, os.path.join(out_dir, f"{shard}.parquet"))
+        _write_parquet_atomic(
+            result, os.path.join(out_dir, f"{shard}.parquet"),
+            row_group_size=max(1, cfg.max_row_group_bytes // per_row))
         out_rows["shard"].append(shard)
         out_rows["rows"].append(result.num_rows)
         keep = result.column("keep").to_numpy(zero_copy_only=False)

@@ -317,3 +317,101 @@ def test_bloom_ignores_null_keys(ray_session):
     wa = build_bloom(a, key_col="k", m_bits=1 << 10, k_hashes=4)
     wb = build_bloom(b, key_col="k", m_bits=1 << 10, k_hashes=4)
     assert (wa == wb).all()
+
+
+# ---------------------------------------------------------------------------
+# size-aware reduce: exact_dedup on the small and the large path
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dup_rate", [0.0, 0.5, 0.95])
+def test_exact_dedup_reduce_threshold_parity(ray_session, dup_docs,
+                                             reduce_at_budget, dup_rate):
+    """With the budget at the measured partial size (inclusive: small
+    path) and one byte under it (large path) the two reduce paths give
+    the same rows as each other and the pandas oracle (min id per
+    distinct text); the path taken is read from the reduce's log
+    record."""
+    import ray.data as rd
+
+    from dqm_ray.state.reduce import SMALL_REDUCE_BYTES
+
+    t = dup_docs(600, dup_rate, seed=int(dup_rate * 100))
+    df = t.to_pandas()
+    oracle = df[df["doc_id"].isin(df.groupby("text")["doc_id"].min())] \
+        .sort_values("doc_id").reset_index(drop=True)
+
+    def run():
+        return exact_dedup(rd.from_arrow(t)).to_pandas() \
+            .sort_values("doc_id").reset_index(drop=True)
+
+    _, path, nbytes, _ = reduce_at_budget(SMALL_REDUCE_BYTES, run,
+                                          "exact_dedup")
+    assert path == "small" and nbytes > 0
+    small, p_small, _, t_small = reduce_at_budget(nbytes, run,
+                                                  "exact_dedup")
+    large, p_large, _, t_large = reduce_at_budget(nbytes - 1, run,
+                                                  "exact_dedup")
+    assert (p_small, p_large) == ("small", "large")
+    pd.testing.assert_frame_equal(small, large)
+    pd.testing.assert_frame_equal(small, oracle)
+    print(f"exact_dedup dup_rate={dup_rate}: small {t_small:.3f}s, "
+          f"large {t_large:.3f}s, large/small {t_large / t_small:.1f}x")
+
+
+def test_dedup_ops_on_empty_input(ray_session):
+    """exact_dedup and remove_boilerplate_lines return 0 rows on an
+    emptied input: filtered to 0 rows, cut to 0 blocks by limit(0), or
+    a 0-row table (corpus gates can legitimately empty their input)."""
+    import ray.data as rd
+
+    from dqm_ray.functions.boilerplate import remove_boilerplate_lines
+
+    t = _docs_with_dups()
+    empties = {"filtered": rd.from_arrow(t).filter(lambda r: r["doc_id"] < 0),
+               "limit0": rd.from_arrow(t).limit(0),
+               "0-row": rd.from_arrow(t.slice(0, 0))}
+    for name, ds in empties.items():
+        assert exact_dedup(ds).count() == 0, name
+        assert remove_boilerplate_lines(ds, min_docs=2).count() == 0, name
+
+
+def test_small_reduce_collects_nothing_on_driver(ray_session, dup_docs,
+                                                 monkeypatch):
+    """On the small path neither reduce pulls corpus-cardinality data to
+    the driver: ``Dataset.to_pandas`` is never called, and no value the
+    driver fetches with ``ray.get`` is an array or table as long as the
+    winner set."""
+    import ray
+    import ray.data as rd
+
+    from dqm_ray.functions.boilerplate import remove_boilerplate_lines
+
+    t = dup_docs(2000, 0.5, seed=4)
+    n_winners = len(set(t.column("text").to_pylist()))
+
+    def no_collect(self, *a, **k):
+        raise AssertionError("Dataset.to_pandas called on the driver")
+
+    fetched = []
+    real_get = ray.get
+
+    def recording_get(refs, *a, **k):
+        out = real_get(refs, *a, **k)
+        fetched.extend(out if isinstance(out, list) else [out])
+        return out
+
+    monkeypatch.setattr(rd.Dataset, "to_pandas", no_collect)
+    monkeypatch.setattr(ray, "get", recording_get)
+    deduped = exact_dedup(rd.from_arrow(t)).materialize()
+    cleaned = remove_boilerplate_lines(deduped, min_docs=5).materialize()
+    monkeypatch.undo()
+
+    def size(v):
+        if isinstance(v, (np.ndarray, pa.Table, pa.Array, list)):
+            return len(v)
+        if isinstance(v, tuple):
+            return max((size(x) for x in v), default=0)
+        return 0
+
+    assert max((size(v) for v in fetched), default=0) < n_winners
+    assert deduped.count() == cleaned.count() == n_winners

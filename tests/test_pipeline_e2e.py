@@ -267,6 +267,106 @@ def test_filewise_duplicate_shard_names_raise(ray_session, small_cfg,
     assert not os.path.exists(out)
 
 
+def test_shard_writers_use_their_own_temp_file(ray_session, small_cfg,
+                                               tmp_path, monkeypatch):
+    """Two writers of one shard (a rerun beside a killed driver's still
+    running task) both finish. A patched ``os.replace`` holds each
+    writer at every rename until both have written their temp file —
+    the interleaving in which a shared temp name made the second rename
+    fail with FileNotFoundError. Every final file (data, metrics,
+    timing) appears only by a rename, so no writer ever writes into a
+    file another one is writing or a reader sees. The data file equals
+    a clean run's, the metrics equal it up to wall times, and no temp
+    file is left behind."""
+    import threading
+
+    from dqm_ray.pipelines.quality import _process_shard_batch
+
+    paths = write_corpus(str(tmp_path / "src"), n_rows=200, seed=5,
+                         n_shards=1)
+    batch = pa.table({"path": paths})
+    kw = dict(cfg=small_cfg, ref_sha_column=None, alert_dir=None)
+    clean, race = tmp_path / "clean", tmp_path / "race"
+    _process_shard_batch(batch, out_dir=str(clean / "data"),
+                         metrics_dir=str(clean / "metrics"), **kw)
+
+    name = "code_files_0000.parquet"
+    finals = [os.path.join("data", name), os.path.join("metrics", name),
+              os.path.join("metrics", "timing", name)]
+    barrier = threading.Barrier(2, timeout=60)
+    real_replace = os.replace
+    renamed, written_in_place = set(), []
+
+    def replace_when_both_wrote(src, dst):
+        for f in finals:
+            if os.path.exists(race / f) and str(race / f) not in renamed:
+                written_in_place.append(f)
+        barrier.wait()
+        real_replace(src, dst)
+        renamed.add(str(dst))
+
+    errors = []
+
+    def write():
+        try:
+            _process_shard_batch(batch, out_dir=str(race / "data"),
+                                 metrics_dir=str(race / "metrics"), **kw)
+        except Exception as e:
+            errors.append(e)
+
+    monkeypatch.setattr(os, "replace", replace_when_both_wrote)
+    writers = [threading.Thread(target=write) for _ in range(2)]
+    for w in writers:
+        w.start()
+    for w in writers:
+        w.join(timeout=120)
+    monkeypatch.undo()
+    assert not any(w.is_alive() for w in writers)
+    assert errors == []
+    assert written_in_place == []
+    assert sorted(str(race / f) for f in finals) == sorted(renamed)
+    assert os.listdir(race / "data") == [name]
+    assert sorted(os.listdir(race / "metrics")) == [name, "timing"]
+    assert os.listdir(race / "metrics" / "timing") == [name]
+    assert pq.read_table(race / finals[0]).equals(
+        pq.read_table(clean / finals[0]))
+    # wall times differ between writers; everything else is equal
+    got, want = pq.read_table(race / finals[1]), pq.read_table(
+        clean / finals[1])
+    assert got.drop_columns(["stage_ms"]).equals(
+        want.drop_columns(["stage_ms"]))
+    # the two threads share one cached stage and split its per-stage
+    # counters between them, so only the timing file's shape is checked
+    got, want = pq.read_table(race / finals[2]), pq.read_table(
+        clean / finals[2])
+    assert got.schema == want.schema
+    assert set(got.column("shard").to_pylist()) == {name[:-len(".parquet")]}
+
+
+def test_failed_shard_write_removes_its_temp_file(ray_session, small_cfg,
+                                                  tmp_path, monkeypatch):
+    """A rename that fails raises and removes the writer's temp file, so
+    failed writes do not pile up hidden temp files across reruns."""
+    from dqm_ray.pipelines.quality import _process_shard_batch
+
+    paths = write_corpus(str(tmp_path / "src"), n_rows=50, seed=5,
+                         n_shards=1)
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        _process_shard_batch(pa.table({"path": paths}),
+                             out_dir=str(tmp_path / "data"),
+                             metrics_dir=str(tmp_path / "metrics"),
+                             cfg=small_cfg, ref_sha_column=None,
+                             alert_dir=None)
+    monkeypatch.undo()
+    assert os.listdir(tmp_path / "data") == []
+    assert os.listdir(tmp_path / "metrics") == []
+
+
 @pytest.fixture(scope="module")
 def crash_case(ray_session, small_cfg, tmp_path_factory):
     """Eight shards and a clean filewise run over them: the reference

@@ -1,9 +1,12 @@
 """Boilerplate-line removal, document chunking, anti join, rollup, and
 distributed k-means — round-2 additions."""
 
+import collections
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 
 
 def _ds(table):
@@ -115,6 +118,138 @@ def test_boilerplate_noop_below_threshold(ray_session):
         min_len=10, min_docs=3).to_pandas()
     assert (out["n_removed"] == 0).all()
     assert set(out["text"]) == set(tbl.column("text").to_pylist())
+
+
+def _boilerplate_oracle(df: pd.DataFrame, min_len: int,
+                        min_docs: int) -> pd.DataFrame:
+    """Naive twin: a line is boilerplate iff it has >= ``min_len``
+    characters and occurs in >= ``min_docs`` docs (rows)."""
+    docs_per_line = collections.Counter()
+    for t in df["text"]:
+        docs_per_line.update(set(t.split("\n")))
+    boiler = {ln for ln, n in docs_per_line.items()
+              if n >= min_docs and len(ln) >= min_len}
+    texts, removed = [], []
+    for t in df["text"]:
+        lines = t.split("\n")
+        kept = [ln for ln in lines if ln not in boiler]
+        texts.append("\n".join(kept))
+        removed.append(len(lines) - len(kept))
+    return pd.DataFrame({"doc_id": df["doc_id"].to_numpy(), "text": texts,
+                         "n_removed": np.array(removed, np.int64)}) \
+        .sort_values("doc_id").reset_index(drop=True)
+
+
+@pytest.mark.parametrize("dup_rate", [0.0, 0.5, 0.95])
+def test_boilerplate_reduce_threshold_parity(ray_session, dup_docs,
+                                             reduce_at_budget, dup_rate):
+    """With the budget at the measured partial size (inclusive: small
+    path) and one byte under it (large path) the two reduce paths
+    remove the same lines as each other and the naive twin; the path
+    taken is read from the reduce's log record."""
+    from dqm_ray.functions.boilerplate import remove_boilerplate_lines
+    from dqm_ray.state.reduce import SMALL_REDUCE_BYTES
+
+    t = dup_docs(600, dup_rate, seed=int(dup_rate * 100) + 1)
+    oracle = _boilerplate_oracle(t.to_pandas(), 10, 20)
+    assert oracle["n_removed"].sum() > 0
+
+    def run():
+        return remove_boilerplate_lines(
+            _ds(t), text_col="text", id_col="doc_id", min_len=10,
+            min_docs=20).to_pandas() \
+            .sort_values("doc_id").reset_index(drop=True)
+
+    what = "remove_boilerplate_lines"
+    _, path, nbytes, _ = reduce_at_budget(SMALL_REDUCE_BYTES, run, what)
+    assert path == "small" and nbytes > 0
+    small, p_small, _, t_small = reduce_at_budget(nbytes, run, what)
+    large, p_large, _, t_large = reduce_at_budget(nbytes - 1, run, what)
+    assert (p_small, p_large) == ("small", "large")
+    pd.testing.assert_frame_equal(small, large)
+    pd.testing.assert_frame_equal(small, oracle)
+    print(f"{what} dup_rate={dup_rate}: small {t_small:.3f}s, "
+          f"large {t_large:.3f}s, large/small {t_large / t_small:.1f}x")
+
+
+def test_doc_distinct_counts_pack_bounds():
+    """The (row, code) int64 pack: just inside the bound it counts
+    right, just outside it raises ValueError instead of colliding.
+    At 20 code bits rows may reach 2^43 - 1. A 63-bit code field is
+    rejected outright (the in-bound 62-bit case needs a 2^62-slot
+    bincount, so only the outside is run)."""
+    from dqm_ray.functions.boilerplate import _doc_distinct_counts
+
+    codes = np.array([0, (1 << 20) - 1, 0], np.int64)
+    top = (1 << 43) - 1
+    uniq, counts = _doc_distinct_counts(
+        codes, np.array([0, top, top], np.int64), 1 << 20)
+    assert uniq.tolist() == [0, (1 << 20) - 1]
+    assert counts.tolist() == [2, 1]
+    with pytest.raises(ValueError, match="overflows int64"):
+        _doc_distinct_counts(codes, np.array([0, top, top + 1], np.int64),
+                             1 << 20)
+    with pytest.raises(ValueError, match="overflows int64"):
+        _doc_distinct_counts(np.array([0], np.int64),
+                             np.array([0], np.int64), 1 << 63)
+
+
+def test_packed_positions_bounds():
+    """Bucketed line positions pack (id << 20) + line index: ids in
+    [-2^43, 2^43) and up to 2^20 lines per doc pack without collision
+    and decode by an arithmetic shift; one past either bound raises
+    ValueError."""
+    from dqm_ray.functions.boilerplate import POS_BITS, _packed_positions
+
+    top, bottom = (1 << 43) - 1, -(1 << 43)
+    p = _packed_positions(np.array([bottom, -1, 0, top], np.int64),
+                          np.array([0, 0, 1, 2, 3, 3], np.int64))
+    assert p.tolist() == [bottom << POS_BITS, (bottom << POS_BITS) + 1,
+                          -1 << POS_BITS, 0, top << POS_BITS,
+                          (top << POS_BITS) + 1]
+    assert (p >> POS_BITS).tolist() == [bottom, bottom, -1, 0, top, top]
+    for bad in (bottom - 1, top + 1):
+        with pytest.raises(ValueError, match="ids must lie"):
+            _packed_positions(np.array([0, bad], np.int64),
+                              np.array([0, 1], np.int64))
+    n = 1 << POS_BITS
+    p = _packed_positions(np.array([5, 6], np.int64),
+                          np.r_[np.zeros(n, np.int64), 1])
+    assert p[n - 1] == (5 << POS_BITS) + n - 1 and p[n] == 6 << POS_BITS
+    with pytest.raises(ValueError, match="lines"):
+        _packed_positions(np.array([5], np.int64),
+                          np.zeros(n + 1, np.int64))
+
+
+def test_boilerplate_bucketed_id_bounds(ray_session, tmp_path):
+    """End to end: the smallest and largest packable ids clean like the
+    broadcast path; one past the top raises ValueError instead of
+    colliding."""
+    from dqm_ray.functions.boilerplate import (
+        remove_boilerplate_lines, remove_boilerplate_lines_bucketed)
+
+    tbl, _, _ = _docs_with_boilerplate()
+    ids = tbl.column("doc_id").to_numpy().copy()
+    ids[0], ids[-1] = -(1 << 43), (1 << 43) - 1
+    inside = tbl.set_column(0, "doc_id", pa.array(ids, pa.int64()))
+    a = remove_boilerplate_lines(
+        _ds(inside), text_col="text", id_col="doc_id", min_len=10,
+        min_docs=10).to_pandas().sort_values("doc_id") \
+        .reset_index(drop=True)
+    b = remove_boilerplate_lines_bucketed(
+        _ds(inside), str(tmp_path / "in"), text_col="text",
+        id_col="doc_id", min_len=10, min_docs=10, num_buckets=4,
+        num_parts=8).to_pandas().sort_values("doc_id") \
+        .reset_index(drop=True)
+    pd.testing.assert_frame_equal(a, b)
+    ids[-1] = 1 << 43
+    outside = tbl.set_column(0, "doc_id", pa.array(ids, pa.int64()))
+    # Ray Data re-raises the worker's ValueError as a UserCodeException
+    with pytest.raises(Exception, match="ids must lie"):
+        remove_boilerplate_lines_bucketed(
+            _ds(outside), str(tmp_path / "out"), text_col="text",
+            id_col="doc_id", min_len=10, min_docs=10, num_buckets=4,
+            num_parts=8).materialize()
 
 
 # ---------------------------------------------------------------------------
