@@ -191,8 +191,6 @@ def _q_resume_semantics(sf_dir: str):
     remaining shards from the corpus parquet itself."""
     import shutil
 
-    import ray.data as rd
-
     from dqm_ray.config import QualityConfig
     from dqm_ray.pipelines.quality import run_quality_filewise
 

@@ -10,16 +10,18 @@ per-batch chain (``QualityStage``):
       → finalize (reasons → keep)               # Pipeline-runner analog
       → scrub                                   # PII rewrite
 
-``run_quality_filewise`` is the runner: one task per input shard reads
-the shard, runs the chain and writes
+``run_quality_filewise`` is the runner: one plain Ray task per pending
+input shard reads the shard, runs the chain and writes
 
     metrics/<shard>.parquet          # K3 opmon analog, per partition_id
     metrics/timing/<shard>.parquet   # per-stage ms / rows / calls
     data/<shard>.parquet             # K1 sink, atomic rename, written last
 
-The data file is the completion marker: a rerun skips every shard whose
-data file exists. ``build_quality_pipeline`` puts the same chain on any
-``Dataset`` for composition.
+and returns only that shard's stats row. The call is eager: it waits
+for every task and returns the stats as a ``pa.Table``. The data file is
+the completion marker: a rerun skips every shard whose data file exists.
+``build_quality_pipeline`` puts the same chain on any ``Dataset`` for
+composition.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import uuid
 
 import numpy as np
 import pyarrow as pa
+import ray
 
 from dqm_ray.config import QualityConfig
 from dqm_ray.stages.lineage import lineage_batch
@@ -172,6 +175,11 @@ def build_quality_pipeline(ds, cfg: QualityConfig | None = None, *,
         batch_format="pyarrow", batch_size=cfg.rule_batch_size)
 
 
+# the per-shard stats row of a filewise run
+STATS_SCHEMA = pa.schema([("shard", pa.string()), ("rows", pa.int64()),
+                          ("kept", pa.int64()), ("bytes", pa.int64())])
+
+
 def _shard_name(path: str) -> str:
     """Output key of an input shard: its file name without extension."""
     return os.path.basename(path).rsplit(".", 1)[0]
@@ -205,8 +213,8 @@ def _process_shard_batch(batch: pa.Table, *, out_dir: str, metrics_dir,
     """Filewise worker: for each input shard path row, read the shard,
     run the full fused chain batch-wise, and write this shard's output
     parquet directly — zero object-store traffic for content. Emits one
-    stats row per shard, plus a partition-keyed metrics parquet and a
-    per-stage timing parquet per shard."""
+    ``STATS_SCHEMA`` row per shard, plus a partition-keyed metrics
+    parquet and a per-stage timing parquet per shard."""
     import pyarrow.parquet as pq
 
     paths = batch.column("path").to_pylist()
@@ -252,26 +260,36 @@ def _process_shard_batch(batch: pa.Table, *, out_dir: str, metrics_dir,
         out_rows["kept"].append(int(keep.sum()))
         out_rows["bytes"].append(
             int(pa.compute.sum(result.column("n_chars")).as_py() or 0))
-    return pa.table({k: pa.array(v) for k, v in out_rows.items()})
+    return pa.table(out_rows, schema=STATS_SCHEMA)
+
+
+# one shard per task, one CPU each, as the reference gives each window
+# to one worker thread (plugins/DQMProcessor.cpp:541-556)
+_shard_task = ray.remote(num_cpus=1)(_process_shard_batch)
 
 
 def run_quality_filewise(input_paths: list[str], out_dir: str,
                          cfg: QualityConfig | None = None, *,
                          ref_sha_column: str | None = None,
-                         write_metrics: bool = True):
-    """Shard-parallel runner: one task per input file reads, processes
-    and writes that shard end-to-end (the reference's
+                         write_metrics: bool = True) -> pa.Table:
+    """Shard-parallel runner: one plain Ray task per pending input file
+    reads, processes and writes that shard end-to-end (the reference's
     one-window-per-thread shape, plugins/DQMProcessor.cpp:541-556, made
     cluster-wide). No content ever enters the object store, so it scales
-    with cores/nodes until disk bandwidth. Returns the per-shard stats
-    (shard, rows, kept, bytes) of the shards this call ran, lazily.
+    with cores/nodes until disk bandwidth.
+
+    Eager: returns once every task has finished, with the per-shard
+    stats (``STATS_SCHEMA``: shard, rows, kept, bytes) of the shards
+    this call ran, in input order; 0 rows when every shard had already
+    finished. The first failed shard cancels the call's unfinished
+    tasks, waits until they have ended and re-raises the shard's error
+    (a ``RayTaskError`` that is also an instance of the original class,
+    e.g. ``LineageError``).
 
     Outputs are keyed by shard name (file name without extension), so
     two inputs with the same name raise ``ValueError``. Resume: a rerun
     into the same ``out_dir`` skips every shard whose
     ``data/<shard>.parquet`` exists."""
-    import ray.data as rd
-
     cfg = cfg or QualityConfig()
     by_name: dict[str, list[str]] = {}
     for p in input_paths:
@@ -287,19 +305,25 @@ def run_quality_filewise(input_paths: list[str], out_dir: str,
     pending = [p for p in input_paths if not os.path.exists(
         os.path.join(data_dir, _shard_name(p) + ".parquet"))]
     if not pending:
-        import pandas as pd
-
-        return rd.from_pandas(pd.DataFrame(
-            {"shard": [], "rows": [], "kept": [], "bytes": []}))
-    ds = rd.from_items([{"path": p} for p in pending])
-    return ds.map_batches(
-        functools.partial(
-            _process_shard_batch, out_dir=data_dir,
-            metrics_dir=(os.path.join(out_dir, "metrics")
-                         if write_metrics else None),
-            cfg=cfg, ref_sha_column=ref_sha_column,
-            alert_dir=os.path.join(out_dir, "alerts")),
-        batch_size=1, batch_format="pyarrow", num_cpus=1)
+        return STATS_SCHEMA.empty_table()
+    refs = [_shard_task.remote(
+        pa.table({"path": [p]}), out_dir=data_dir,
+        metrics_dir=(os.path.join(out_dir, "metrics")
+                     if write_metrics else None),
+        cfg=cfg, ref_sha_column=ref_sha_column,
+        alert_dir=os.path.join(out_dir, "alerts")) for p in pending]
+    todo = refs
+    try:
+        while todo:
+            # blocks until a task ends: the driver takes no CPU meanwhile
+            done, todo = ray.wait(todo, num_returns=1)
+            ray.get(done)  # a failed shard raises here
+    finally:
+        if todo:  # a shard failed or the wait was interrupted
+            for ref in todo:
+                ray.cancel(ref)
+            ray.wait(todo, num_returns=len(todo))
+    return pa.concat_tables(ray.get(refs))
 
 
 def _with_stage_ms(partial: pa.Table, total_ms: float) -> pa.Table:

@@ -77,8 +77,7 @@ def test_metrics_sum_to_totals(ray_session, small_cfg, tmp_path):
     input row and every content char."""
     paths = write_corpus(str(tmp_path / "src"), n_rows=300, seed=5,
                          n_shards=3)
-    run_quality_filewise(paths, str(tmp_path / "out"),
-                         small_cfg).materialize()
+    run_quality_filewise(paths, str(tmp_path / "out"), small_cfg)
     m = read_partition_metrics(str(tmp_path / "out"))
     table = pa.concat_tables(pq.read_table(p) for p in paths)
     assert m["rows"].sum() == 300
@@ -199,6 +198,90 @@ def test_filewise_tamper_fails_fast(ray_session, small_cfg,
     assert glob.glob(os.path.join(out, "alerts", "alert-*.parquet"))
 
 
+def test_filewise_fails_fast_on_first_failed_shard(ray_session, small_cfg,
+                                                  tmp_path):
+    """One tampered shard among four: the call re-raises the shard's
+    LineageError once the other tasks of the call have ended, and the
+    tampered shard has no data file."""
+    from dqm_ray.stages.lineage import LineageError, sha256_column
+
+    paths = write_corpus(str(tmp_path / "src"), n_rows=800, seed=37,
+                         n_shards=4)
+    t = pq.read_table(paths[1])
+    t = t.append_column("sha256_ref",
+                        sha256_column(t["content"].combine_chunks()))
+    c = t["content"].to_pylist()
+    c[3] += "TAMPER"
+    t = t.set_column(t.column_names.index("content"), "content",
+                     pa.array(c, t.schema.field("content").type))
+    pq.write_table(t, paths[1])
+    out = str(tmp_path / "out")
+    data = os.path.join(out, "data")
+
+    with pytest.raises(LineageError):
+        run_quality_filewise(paths, out, small_cfg,
+                             ref_sha_column="sha256_ref")
+    assert not os.path.exists(os.path.join(data, "code_files_0001.parquet"))
+    # every task of the call has ended: no file appears or is half
+    # written after the raise
+    listing = sorted(os.listdir(data)) if os.path.isdir(data) else []
+    assert not [f for f in listing if f.endswith(".tmp")]
+    time.sleep(0.5)
+    assert listing == (sorted(os.listdir(data)) if os.path.isdir(data)
+                       else [])
+
+
+def test_filewise_stats_schema_on_every_rerun(ray_session, small_cfg,
+                                              tmp_path):
+    """The first run, a partial rerun and an all-finished rerun all
+    return a Table with the same stats schema; the last has 0 rows."""
+    paths = write_corpus(str(tmp_path / "src"), n_rows=300, seed=43,
+                         n_shards=3)
+    out = str(tmp_path / "out")
+    want = pa.schema([("shard", pa.string()), ("rows", pa.int64()),
+                      ("kept", pa.int64()), ("bytes", pa.int64())])
+    runs = [run_quality_filewise(paths[:2], out, small_cfg),
+            run_quality_filewise(paths, out, small_cfg),
+            run_quality_filewise(paths, out, small_cfg)]
+    assert [t.num_rows for t in runs] == [2, 1, 0]
+    for t in runs:
+        assert isinstance(t, pa.Table) and t.schema.equals(want)
+    assert runs[1].column("shard").to_pylist() == ["code_files_0002"]
+    assert runs[2].to_pandas()["rows"].sum() == 0
+
+
+def test_filewise_builds_no_dataset(ray_session, small_cfg, tmp_path,
+                                    monkeypatch):
+    """The product path starts no Ray Data execution: with
+    ``Dataset.__init__`` made to raise on the driver the run completes,
+    and its output matches the naive oracle."""
+    import ray.data
+
+    def no_dataset(self, *args, **kwargs):
+        raise AssertionError("run_quality_filewise built a Dataset")
+
+    paths = write_corpus(str(tmp_path / "src"), n_rows=200, seed=47,
+                         n_shards=2)
+    out = str(tmp_path / "out")
+    monkeypatch.setattr(ray.data.Dataset, "__init__", no_dataset)
+    st = run_quality_filewise(paths, out, small_cfg)
+    monkeypatch.undo()
+
+    assert st.column("shard").to_pylist() == ["code_files_0000",
+                                              "code_files_0001"]
+    assert st.column("rows").to_pylist() == [100, 100]
+    got = _read_output(out)
+    inp = pa.concat_tables(pq.read_table(p) for p in paths)
+    ref = {(r["repo"], r["path"], r["commit"]): r
+           for r in label_table(inp, small_cfg)}
+    assert len(got) == 200 == len(ref)
+    assert sum(st.column("kept").to_pylist()) == int(got["keep"].sum())
+    for row in got.itertuples():
+        r = ref[(row.repo, row.path, row.commit)]
+        assert (row.keep, row.sha256, row.content) == \
+            (r["keep"], r["sha256"], r["scrubbed_content"]), row.path
+
+
 def test_filewise_metrics_match_pipeline_runner(ray_session, small_cfg,
                                                 tmp_path):
     """K3 opmon parity: the per-partition metrics the runner writes
@@ -206,8 +289,7 @@ def test_filewise_metrics_match_pipeline_runner(ray_session, small_cfg,
     timings cover every row of every stage."""
     paths = write_corpus(str(tmp_path / "src"), n_rows=400, seed=11,
                          n_shards=4)
-    run_quality_filewise(paths, str(tmp_path / "fw"), small_cfg) \
-        .materialize()
+    run_quality_filewise(paths, str(tmp_path / "fw"), small_cfg)
     a = read_partition_metrics(str(tmp_path / "fw"))
     out = _read_output(str(tmp_path / "fw"))
     b = out.groupby("partition_id").agg(
@@ -262,7 +344,7 @@ def test_filewise_duplicate_shard_names_raise(ray_session, small_cfg,
     b = write_corpus(str(tmp_path / "b"), n_rows=100, seed=2, n_shards=1)
     out = str(tmp_path / "out")
     with pytest.raises(ValueError, match="code_files_0000") as e:
-        run_quality_filewise(a + b, out, small_cfg).materialize()
+        run_quality_filewise(a + b, out, small_cfg)
     assert a[0] in str(e.value) and b[0] in str(e.value)
     assert not os.path.exists(out)
 
@@ -374,7 +456,7 @@ def crash_case(ray_session, small_cfg, tmp_path_factory):
     paths = write_corpus(str(tmp_path_factory.mktemp("crash_src")),
                          n_rows=4000, seed=29, n_shards=8)
     clean = str(tmp_path_factory.mktemp("crash_clean"))
-    run_quality_filewise(paths, clean, small_cfg).materialize()
+    run_quality_filewise(paths, clean, small_cfg)
     return paths, clean
 
 
@@ -388,8 +470,7 @@ from dqm_ray.pipelines.quality import run_quality_filewise
 address, out, *paths = sys.argv[1:]
 ray.init(address=address, logging_level="ERROR")
 ray.data.DataContext.get_current().enable_progress_bars = False
-run_quality_filewise(paths, out, QualityConfig(rule_batch_size=256)) \
-    .materialize()
+run_quality_filewise(paths, out, QualityConfig(rule_batch_size=256))
 """
 
 
