@@ -3526,7 +3526,10 @@ def _boilerplate_oracle_sql(sf: str = "sf0.01") -> str:
                coalesce(string_agg(line, chr(10) ORDER BY ord)
                         FILTER (WHERE NOT rm), '') AS text,
                CAST(count(*) FILTER (WHERE rm) AS BIGINT) AS n_removed
-        FROM l2 GROUP BY path"""
+        FROM l2 GROUP BY path
+        UNION ALL  -- a null content has no lines: kept null, 0 removed
+        SELECT path, NULL, CAST(0 AS BIGINT)
+        FROM read_parquet('{glob}') WHERE content IS NULL"""
 
 
 def _kmeans_oracle_sql() -> str:

@@ -11,7 +11,7 @@ provably small, which it is at any dup rate worth deduping).
 
 Exact dedup mirrors the reference's frame dedup — first-wins on a key
 tuple via a set (include/dqm/ChannelMap.hpp:76-89) — as a per-batch
-min-id combine and one size-aware reduce of the partials
+min-id combine and one keyed reduce of the partials
 (:mod:`dqm_ray.state.reduce`).
 """
 
@@ -42,19 +42,17 @@ def exact_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     1. one content pass emits compact (id, sha256) rows, combined per
        batch to one (min id, sha256) row per distinct text;
     2. :func:`~dqm_ray.state.reduce.reduce_partials` takes the min id
-       per sha256 over all partials. Up to ``SMALL_REDUCE_BYTES`` of
-       partials one remote task reduces them and writes the sorted
-       winner-id array (8 B per DISTINCT text) straight to the object
-       store — no shuffle, nothing collected on the driver. Past it,
-       ``groupby(sha).min(id)`` shuffles the partials (~72 B/row) and
-       the driver collects the winners and puts them in the object
-       store;
+       per sha256 in K sha-keyed parts of plain Ray tasks and leaves the
+       sorted winner ids (8 B per DISTINCT text) in the object store —
+       no shuffle, nothing collected on the driver;
     3. every batch of the original dataset keeps the rows whose id is
        in the winner array (searchsorted in place).
 
     sha256 as the equality key makes hash-equal ≡ text-equal for any
     realistic corpus (2^128 birthday bound), matching the GROUP BY text
-    oracle — a 64-bit hash provably collides near 10^9-10^10 docs.
+    oracle — a 64-bit hash provably collides near 10^9-10^10 docs. A
+    null text is a text of its own: the min id of the null-text docs
+    wins. An empty input returns 0 rows with the input's schema.
     Scale bound: the winner array lives in the object store, 8 B x
     distinct docs, and every batch reads it zero-copy; past ~10^10
     distinct docs swap step 3 for an id-keyed shuffle join of winners
@@ -62,7 +60,8 @@ def exact_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     """
     import ray
 
-    from dqm_ray.state.reduce import reduce_partials
+    from dqm_ray.state.reduce import (empty_output, reduce_partials,
+                                      sorted_member)
 
     def key_batch(batch: pa.Table) -> pa.Table:
         from dqm_ray.stages.lineage import sha256_column
@@ -74,31 +73,47 @@ def exact_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id"):
         return pa.table({id_col: mins.column(f"{id_col}_min"),
                          "__sha": mins.column("__sha")})
 
-    def small(partials: pa.Table) -> np.ndarray:
+    def min_id_per_sha(partials: pa.Table) -> pa.Table:
         if not partials.num_rows:
-            return np.empty(0, np.int64)
+            return pa.table({"w": pa.array([], pa.int64())})
         mins = partials.group_by("__sha").aggregate([(id_col, "min")])
-        return np.sort(mins.column(f"{id_col}_min").to_numpy()
-                       .astype(np.int64))
+        return pa.table({"w": mins.column(f"{id_col}_min")
+                         .cast(pa.int64())})
 
-    def large(partials) -> np.ndarray:
-        winners = partials.groupby("__sha").min(id_col)
-        return np.sort(
-            winners.to_pandas()[f"min({id_col})"].to_numpy(dtype=np.int64))
-
-    ref = reduce_partials(
-        ds.map_batches(key_batch, batch_format="pyarrow"), small, large,
-        what="exact_dedup")
+    ref, rows = reduce_partials(
+        ds.map_batches(key_batch, batch_format="pyarrow"), min_id_per_sha,
+        key="__sha", what="exact_dedup")
 
     def keep_winners(batch: pa.Table) -> pa.Table:
-        w = ray.get(ref)
-        if len(w) == 0:
-            return batch.slice(0, 0)
+        w, = ray.get(ref)
         ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        idx = np.minimum(np.searchsorted(w, ids), len(w) - 1)
-        return batch.filter(pa.array(w[idx] == ids))
+        return batch.filter(pa.array(sorted_member(w, ids)))
 
+    if not rows:
+        return empty_output(ds, keep_winners, pa.schema(
+            [(id_col, pa.int64()), (text_col, pa.string())]))
     return ds.map_batches(keep_winners, batch_format="pyarrow")
+
+
+def pack_positions(ids: np.ndarray, pos: np.ndarray,
+                   pos_bits: int) -> np.ndarray:
+    """``(ids << pos_bits) + pos`` in one int64 per element: a global
+    position that orders by (id, pos). Ids may be negative (hashes
+    viewed as int64). Raises ``ValueError`` when an id is outside
+    [-2^(63-pos_bits), 2^(63-pos_bits)) or a position outside
+    [0, 2^pos_bits), since either would collide with another doc's
+    positions."""
+    id_bits = 63 - pos_bits
+    if len(ids) and (int(ids.min()) < -(1 << id_bits)
+                     or int(ids.max()) >= 1 << id_bits):
+        raise ValueError(
+            f"ids must lie in [-2^{id_bits}, 2^{id_bits}) to pack "
+            f"positions; got [{int(ids.min())}, {int(ids.max())}]")
+    if len(pos) and (int(pos.min()) < 0 or int(pos.max()) >= 1 << pos_bits):
+        raise ValueError(
+            f"positions must lie in [0, 2^{pos_bits}) to pack them; got "
+            f"[{int(pos.min())}, {int(pos.max())}]")
+    return (ids.astype(np.int64) << pos_bits) + pos
 
 
 # ---------------------------------------------------------------------------
@@ -383,31 +398,45 @@ def _explode_bands(batch: pa.Table, *, id_col: str,
 
 
 def keep_multi_member_buckets(ds, key: str):
-    """Anti-singleton filter: count rows per bucket (compact shuffle),
-    broadcast the multi-member bucket keys, filter rows to them. This is
-    what makes bucket-grouped pair extraction scale — at realistic dup
-    rates almost every bucket is a singleton and never reaches the
-    (per-group Python) pair stage."""
+    """Anti-singleton filter: keep the rows whose ``key`` occurs in more
+    than one row. Per-batch (key, count) partials are summed by
+    :func:`~dqm_ray.state.reduce.reduce_partials` and the sorted
+    multi-member keys stay in the object store for the filter pass.
+    This is what makes bucket-grouped pair extraction scale — at
+    realistic dup rates almost every bucket is a singleton and never
+    reaches the (per-group Python) pair stage."""
     import ray
 
-    # count on the key column alone: the count shuffle moves 8 B/row
-    # even when the input rows are wide (e.g. ride-along signatures)
-    counts = ds.select_columns([key]).groupby(key).count()
-    hot = counts.map_batches(
-        lambda t: t.filter(pa.compute.greater(t["count()"], 1)),
-        batch_format="pyarrow").to_pandas()
-    hot_keys = ray.put(np.sort(hot[key].to_numpy()))
+    from dqm_ray.state.reduce import (empty_output, reduce_partials,
+                                      sorted_member)
+
+    # count on the key column alone: the partials hold 16 B per distinct
+    # key per batch even when the input rows are wide (e.g. ride-along
+    # signatures)
+    def count_keys(batch: pa.Table) -> pa.Table:
+        keys, n = np.unique(batch.column(key).to_numpy(),
+                            return_counts=True)
+        return pa.table({key: pa.array(keys), "n": pa.array(n, pa.int64())})
+
+    def multi_member(partials: pa.Table) -> pa.Table:
+        if not partials.num_rows:
+            return pa.table({key: pa.array([], pa.int64())})
+        import pyarrow.compute as pc
+
+        tot = partials.group_by(key).aggregate([("n", "sum")])
+        return tot.filter(pc.greater(tot["n_sum"], 1)).select([key])
+
+    ref, rows = reduce_partials(
+        ds.map_batches(count_keys, batch_format="pyarrow"), multi_member,
+        key=key, what="keep_multi_member_buckets")
 
     def flt(batch: pa.Table) -> pa.Table:
-        keys = ray.get(hot_keys)
+        hot, = ray.get(ref)
         vals = batch.column(key).to_numpy(zero_copy_only=False)
-        idx = np.searchsorted(keys, vals)
-        idx = np.minimum(idx, max(len(keys) - 1, 0))
-        mask = len(keys) > 0 and keys[idx] == vals
-        if isinstance(mask, bool):  # no hot buckets at all
-            return batch.slice(0, 0)
-        return batch.filter(pa.array(mask))
+        return batch.filter(pa.array(sorted_member(hot, vals)))
 
+    if not rows:
+        return empty_output(ds, flt, pa.schema([(key, pa.int64())]))
     return ds.map_batches(flt, batch_format="pyarrow")
 
 

@@ -15,24 +15,22 @@ Scale shape — content never enters a shuffle:
 1. signature pass: per batch, split + two independent 64-bit hashes
    per paragraph (128-bit combined — collision odds ~2^-128 per pair,
    documented trade for keeping text out of the shuffle) + packed
-   position ``doc_id * 2^20 + para_idx``; the shuffle moves only
+   position ``doc_id * 2^20 + para_idx``; the partials are only
    (h1, h2, packed) = 24 B/paragraph;
-2. winners: ``groupby([h1, h2]).min(packed)`` — one row per DISTINCT
-   paragraph; winner positions are broadcast once (``ray.put``) as a
-   sorted int64 array;
+2. winners: the min packed position per (h1, h2), one row per DISTINCT
+   paragraph, reduced by :func:`~dqm_ray.state.reduce.reduce_partials`
+   in K ``h1``-keyed parts of plain Ray tasks; the sorted winner
+   positions stay in the object store (no shuffle, no driver collect);
 3. clean pass: re-split each doc, keep paragraphs whose packed
    position is in the winner set (vectorized searchsorted) or below
    the length floor; no re-hash needed — membership is by position.
 
-The broadcast bounds this at ~10^9 distinct paragraphs (8 GB shared
-per node via the object store). Beyond that,
-``dedup_paragraphs_bucketed`` writes docs AND winner positions
-hive-bucketed by ``bucket_of(doc_id)`` (sources/bucketed.py) and
-cleans one bucket per task against only that bucket's winner subset —
-no broadcast at all, same winner semantics (packed positions are
-globally ordered). Reference parity: remove_empty +
-first-wins stream semantics (python/dqm/dqm_utils.py remove_empty;
-exact-dedup contract in functions/dedup.py).
+Ids must lie in [-2^43, 2^43) and docs hold at most 2^20 paragraphs
+(packed-position radix); anything outside raises ``ValueError``. The
+bound left is the winner array every clean task reads, 8 B per distinct
+paragraph. Reference parity: remove_empty + first-wins stream semantics
+(python/dqm/dqm_utils.py remove_empty; exact-dedup contract in
+functions/dedup.py).
 """
 
 from __future__ import annotations
@@ -60,19 +58,18 @@ def _split_paragraphs(batch: pa.Table, text_col: str, sep: str):
     return parent, flat, idx
 
 
-def _packed(doc_ids: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    return (doc_ids << POS_BITS) + idx
-
-
 def dedup_paragraphs(ds, *, text_col: str = "text",
                      id_col: str = "doc_id", sep: str = "\n\n",
                      min_dedup_chars: int = 1):
     """Remove globally-duplicate paragraphs, first occurrence wins.
 
-    Returns a Dataset with (id_col, text, n_kept, n_dropped)."""
-    from ray.data.aggregate import Min
+    Returns a Dataset with (id_col, text, n_kept, n_dropped); an empty
+    input returns 0 rows with that schema."""
+    import ray
 
-    from dqm_ray.state.broadcast import Broadcast
+    from dqm_ray.functions.dedup import pack_positions
+    from dqm_ray.state.reduce import (empty_output, reduce_partials,
+                                      sorted_member)
 
     def signatures(batch: pa.Table) -> pa.Table:
         parent, flat, idx = _split_paragraphs(batch, text_col, sep)
@@ -87,34 +84,31 @@ def dedup_paragraphs(ds, *, text_col: str = "text",
                                 categorize=False).view(np.int64)
         return pa.table({"h1": pa.array(h1, pa.int64()),
                          "h2": pa.array(h2, pa.int64()),
-                         "packed": pa.array(_packed(ids, idx[sel]),
-                                            pa.int64())})
+                         "packed": pa.array(
+                             pack_positions(ids, idx[sel], POS_BITS),
+                             pa.int64())})
 
-    winners = ds.map_batches(signatures, batch_format="pyarrow",
-                             num_cpus=1) \
-        .groupby(["h1", "h2"]) \
-        .aggregate(Min("packed", alias_name="packed")) \
-        .select_columns(["packed"])
-    wpos = np.sort(np.concatenate(
-        [b.column("packed").to_numpy(zero_copy_only=False)
-         for b in winners.iter_batches(batch_size=1 << 16,
-                                       batch_format="pyarrow")]
-        or [np.empty(0, np.int64)]))
-    bc = Broadcast(wpos)
+    def first_positions(partials: pa.Table) -> pa.Table:
+        if not partials.num_rows:
+            return pa.table({"packed": pa.array([], pa.int64())})
+        mins = partials.group_by(["h1", "h2"]) \
+            .aggregate([("packed", "min")])
+        return pa.table({"packed": mins.column("packed_min")})
+
+    ref, rows = reduce_partials(
+        ds.map_batches(signatures, batch_format="pyarrow", num_cpus=1),
+        first_positions, key="h1", what="dedup_paragraphs")
 
     def clean(batch: pa.Table) -> pa.Table:
         parent, flat, idx = _split_paragraphs(batch, text_col, sep)
         ids = batch.column(id_col).to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        w = bc.value
         n = len(batch)
         if len(parent):
+            w, = ray.get(ref)
             lens = pc.utf8_length(flat).to_numpy(zero_copy_only=False)
-            p = _packed(ids[parent], idx)
-            pos = np.searchsorted(w, p)
-            is_winner = (pos < len(w)) & (w[np.minimum(pos, len(w) - 1)]
-                                          == p)
-            keep = (lens < min_dedup_chars) | is_winner
+            keep = (lens < min_dedup_chars) | sorted_member(
+                w, pack_positions(ids[parent], idx, POS_BITS))
         else:
             keep = np.empty(0, bool)
         # rebuild a ListArray of kept paragraphs per row, then one
@@ -135,126 +129,10 @@ def dedup_paragraphs(ds, *, text_col: str = "text",
             .append_column("n_dropped",
                            pa.array(all_counts - kept_counts, pa.int64()))
 
-    return ds.map_batches(clean, batch_format="pyarrow", num_cpus=1)
-
-
-def dedup_paragraphs_bucketed(ds, workdir: str, *,
-                              text_col: str = "text",
-                              id_col: str = "doc_id",
-                              sep: str = "\n\n",
-                              min_dedup_chars: int = 1,
-                              num_buckets: int = 32):
-    """The >10^9-distinct-paragraph scale path promised in the module
-    docstring: identical semantics to ``dedup_paragraphs`` but the
-    winner-position set is never broadcast. Docs and winner positions
-    are both written hive-bucketed by ``bucket_of(doc_id)`` (ONE extra
-    content write, no shuffle through the object store — each input
-    block appends to its partition files), then one task per bucket
-    joins its doc rows against ONLY its own winner subset and cleans
-    locally. Bucket directories double as resume units. Returns the
-    same (id_col, text, n_kept, n_dropped, ...) dataset.
-    """
-    import os
-
-    import pyarrow.dataset as pads
-    import ray.data as rd
-    from ray.data.aggregate import Min
-
-    from dqm_ray.sources.bucketed import bucket_of
-
-    def signatures(batch: pa.Table) -> pa.Table:
-        parent, flat, idx = _split_paragraphs(batch, text_col, sep)
-        lens = pc.utf8_length(flat).to_numpy(zero_copy_only=False)
-        sel = lens >= min_dedup_chars
-        flat_np = flat.to_numpy(zero_copy_only=False)[sel]
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)[parent[sel]]
-        h1 = pd.util.hash_array(flat_np, hash_key=_H1_KEY,
-                                categorize=False).view(np.int64)
-        h2 = pd.util.hash_array(flat_np, hash_key=_H2_KEY,
-                                categorize=False).view(np.int64)
-        return pa.table({"h1": pa.array(h1, pa.int64()),
-                         "h2": pa.array(h2, pa.int64()),
-                         "packed": pa.array(_packed(ids, idx[sel]),
-                                            pa.int64())})
-
-    docs_dir = os.path.join(workdir, "docs")
-    win_dir = os.path.join(workdir, "winners")
-
-    def add_doc_bucket(batch: pa.Table) -> pa.Table:
-        k = batch.column(id_col).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        return batch.append_column(
-            "bucket", pa.array(bucket_of(k, num_buckets), pa.int32()))
-
-    ds.map_batches(add_doc_bucket, batch_format="pyarrow",
-                   num_cpus=1).write_parquet(
-        docs_dir, partition_cols=["bucket"])
-
-    def add_win_bucket(batch: pa.Table) -> pa.Table:
-        p = batch.column("packed").to_numpy(zero_copy_only=False)
-        d = (p >> POS_BITS).astype(np.int64)
-        return pa.table({"packed": batch.column("packed"),
-                         "bucket": pa.array(bucket_of(d, num_buckets),
-                                            pa.int32())})
-
-    ds.map_batches(signatures, batch_format="pyarrow", num_cpus=1) \
-        .groupby(["h1", "h2"]) \
-        .aggregate(Min("packed", alias_name="packed")) \
-        .map_batches(add_win_bucket, batch_format="pyarrow",
-                     num_cpus=1) \
-        .write_parquet(win_dir, partition_cols=["bucket"])
-
-    def clean_bucket(batch: pa.Table) -> pa.Table:
-        pieces = []
-        for i in batch.column("id").to_pylist():
-            db = os.path.join(docs_dir, f"bucket={i}")
-            if not os.path.isdir(db):
-                continue
-            docs = pads.dataset(db).to_table()
-            wb = os.path.join(win_dir, f"bucket={i}")
-            w = (np.sort(pads.dataset(wb).to_table()
-                         .column("packed").to_numpy(zero_copy_only=False))
-                 if os.path.isdir(wb) else np.empty(0, np.int64))
-            parent, flat, idx = _split_paragraphs(docs, text_col, sep)
-            ids = docs.column(id_col).to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            n = len(docs)
-            if len(parent):
-                lens = pc.utf8_length(flat) \
-                    .to_numpy(zero_copy_only=False)
-                p = _packed(ids[parent], idx)
-                if len(w):
-                    pos = np.searchsorted(w, p)
-                    is_w = (pos < len(w)) \
-                        & (w[np.minimum(pos, len(w) - 1)] == p)
-                else:
-                    is_w = np.zeros(len(p), bool)
-                keep = (lens < min_dedup_chars) | is_w
-            else:
-                keep = np.empty(0, bool)
-            kept_counts = np.bincount(parent[keep], minlength=n)
-            all_counts = np.bincount(parent, minlength=n)
-            offsets = np.r_[0, np.cumsum(kept_counts)].astype(np.int32)
-            kept_lists = pa.ListArray.from_arrays(
-                pa.array(offsets, pa.int32()),
-                flat.filter(pa.array(keep)))
-            texts = pc.binary_join(kept_lists, sep)
-            out = docs.set_column(
-                docs.schema.get_field_index(text_col), text_col, texts)
-            out = out.append_column(
-                "n_kept", pa.array(kept_counts, pa.int64())) \
-                .append_column("n_dropped",
-                               pa.array(all_counts - kept_counts,
-                                        pa.int64()))
-            pieces.append(out)
-        if not pieces:
-            sch = pads.dataset(docs_dir, partitioning="hive").schema
-            empty = sch.empty_table().drop(["bucket"])
-            return empty.append_column(
-                "n_kept", pa.array([], pa.int64())) \
-                .append_column("n_dropped", pa.array([], pa.int64()))
-        return pa.concat_tables(pieces, promote_options="default")
-
-    return rd.range(num_buckets).map_batches(
-        clean_bucket, batch_format="pyarrow", batch_size=1, num_cpus=1)
+    out = ds.map_batches(clean, batch_format="pyarrow", num_cpus=1)
+    if rows:
+        return out
+    # no paragraph long enough anywhere, or no rows: keep the output
+    # schema even when the input was empty
+    return out.union(empty_output(ds, clean, pa.schema(
+        [(id_col, pa.int64()), (text_col, pa.string())])))

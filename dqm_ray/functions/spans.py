@@ -16,16 +16,19 @@ re-expressed without suffix arrays:
   — survives; repeats inside the SAME doc after the anchor are cut
   too). Docs shorter than k are never cut.
 
-Scale shape: the anchor pass ships 16 B per k text bytes through ONE
-``groupby.min`` (content never shuffles); the winner map broadcasts
-sorted (~16 B x chars/k — at 100 TB swap the broadcast for the
-hive-bucketed probe of functions/incremental.py, same escape hatch as
-dedup_paragraphs_bucketed); the cut pass is the scrub_spans
-diff+cumsum kernel over the raw buffer, strings rebuilt zero-copy.
+Scale shape: the anchor pass ships 16 B per k text bytes as compact
+(gram, packed) partials (content never shuffles);
+:func:`~dqm_ray.state.reduce.reduce_partials` takes the min packed
+position per gram in K gram-keyed parts of plain Ray tasks and leaves
+the sorted winner map (~16 B x distinct anchors) in the object store,
+where every cut task reads it whole — that map is the bound left; the
+cut pass is the scrub_spans diff+cumsum kernel over the raw buffer,
+strings rebuilt zero-copy.
 
-ids must fit 31 bits and docs 2^32 bytes (packed radix). Byte ==
-codepoint under the same ASCII precondition the gram-hash SQL oracle
-relies on (decontam.py note).
+ids must lie in [-2^31, 2^31) and docs hold at most 2^32 bytes (packed
+radix); anything outside raises ``ValueError``. Byte == codepoint
+under the same ASCII precondition the gram-hash SQL oracle relies on
+(decontam.py note).
 
 Reference parity: make_same_size / remove_empty normalize payloads
 in place (src/Pipeline.cpp check loop); span dedup is the
@@ -38,6 +41,7 @@ import numpy as np
 import pyarrow as pa
 
 DEFAULT_SPAN_K = 20
+POS_BITS = 32  # max 2^32 bytes per doc (packed-position radix)
 
 
 def _apply_cuts(text: pa.Array, rows: np.ndarray, locs: np.ndarray,
@@ -52,6 +56,8 @@ def _apply_cuts(text: pa.Array, rows: np.ndarray, locs: np.ndarray,
         text = pa.array([(t or "") for t in text.to_pylist()],
                         pa.large_string())
         view = string_buffer_view(text)
+    if view is None:  # no rows, or not one byte: nothing to cut
+        return text, np.zeros(len(text), np.int64)
     data, offs = view
     n = len(text)
     byte_lens = np.diff(offs)
@@ -73,10 +79,9 @@ def _apply_cuts(text: pa.Array, rows: np.ndarray, locs: np.ndarray,
 
 
 def _gram_positions(batch: pa.Table, id_col: str, text_col: str, k: int):
-    """Shared gram/packed/valid extraction for BOTH span-dedup paths —
-    one implementation so the bucketed==broadcast parity cannot drift.
-    Returns (text, grams, doc_idx, local, packed, valid, byte_lens)."""
-    from dqm_ray.functions.dedup import batch_gram_hashes
+    """Gram/packed/valid extraction shared by the anchor and cut passes.
+    Returns (text, grams, doc_idx, local, packed, valid)."""
+    from dqm_ray.functions.dedup import batch_gram_hashes, pack_positions
     from dqm_ray.stages.rules import string_buffer_view
 
     text = batch.column(text_col).combine_chunks()
@@ -86,58 +91,56 @@ def _gram_positions(batch: pa.Table, id_col: str, text_col: str, k: int):
     byte_lens = (np.diff(view[1]) if view is not None else
                  np.array([len((t or "").encode())
                            for t in text.to_pylist()], np.int64))
-    short = byte_lens < k
     doc_idx = np.repeat(np.arange(n, dtype=np.int64), counts)
     local = np.arange(len(grams), dtype=np.int64) \
         - np.repeat(starts, counts)
     ids = batch.column(id_col).to_numpy(zero_copy_only=False) \
         .astype(np.int64)
-    packed = (ids[doc_idx] << 32) | local
-    valid = ~short[doc_idx]
-    return text, grams, doc_idx, local, packed, valid, byte_lens
+    packed = pack_positions(ids[doc_idx], local, POS_BITS)
+    valid = byte_lens[doc_idx] >= k
+    return text, grams, doc_idx, local, packed, valid
+
 
 def dedup_spans(ds, *, id_col: str = "doc_id", text_col: str = "text",
                 k: int = DEFAULT_SPAN_K, batch_size: int = 512):
     """Returns (id_col, text, n_cut): every doc with globally-repeated
-    k-spans deleted (winner occurrence kept), and the cut byte count."""
+    k-spans deleted (winner occurrence kept), and the cut byte count.
+    An empty input returns 0 rows with that schema."""
     import ray
-    from ray.data.aggregate import Min
 
-    def grams_of(batch: pa.Table):
-        return _gram_positions(batch, id_col, text_col, k)
+    from dqm_ray.state.reduce import empty_output, reduce_partials
 
     def anchor_partial(batch: pa.Table) -> pa.Table:
-        _, grams, _, local, packed, valid, _ = grams_of(batch)
+        _, grams, _, local, packed, valid = _gram_positions(
+            batch, id_col, text_col, k)
         m = valid & (local % k == 0)
         return pa.table({
             "gram": pa.array(grams[m].view(np.int64), pa.int64()),
             "packed": pa.array(packed[m], pa.int64()),
         })
 
-    winners = ds.map_batches(anchor_partial, batch_format="pyarrow",
-                             num_cpus=1) \
-        .groupby("gram").aggregate(Min("packed", alias_name="w"))
-    g_parts, w_parts = [], []
-    for b in winners.iter_batches(batch_size=1 << 16,
-                                  batch_format="pyarrow"):
-        g_parts.append(b.column("gram").to_numpy(zero_copy_only=False))
-        w_parts.append(b.column("w").to_numpy(zero_copy_only=False))
-    g_all = (np.concatenate(g_parts) if g_parts
-             else np.empty(0, np.int64)).view(np.uint64)
-    w_all = np.concatenate(w_parts) if w_parts else np.empty(0, np.int64)
-    order = np.argsort(g_all, kind="stable")
-    win_ref = ray.put((g_all[order], w_all[order]))
+    def first_anchor(partials: pa.Table) -> pa.Table:
+        if not partials.num_rows:
+            z = pa.array([], pa.int64())
+            return pa.table({"gram": z, "w": z})
+        mins = partials.group_by("gram").aggregate([("packed", "min")])
+        return pa.table({"gram": mins.column("gram"),
+                         "w": mins.column("packed_min")})
+
+    win_ref, rows = reduce_partials(
+        ds.map_batches(anchor_partial, batch_format="pyarrow", num_cpus=1),
+        first_anchor, key="gram", what="dedup_spans")
 
     def cut(batch: pa.Table) -> pa.Table:
-        gs, ws = ray.get(win_ref)
-        text, grams, doc_idx, local, packed, valid, byte_lens = \
-            grams_of(batch)
-        n = len(batch)
-        if len(gs) and len(grams):
-            pos = np.minimum(np.searchsorted(gs, grams), len(gs) - 1)
-            flag = (gs[pos] == grams) & (ws[pos] < packed) & valid
-        else:
-            flag = np.zeros(len(grams), bool)
+        text, grams, doc_idx, local, packed, valid = _gram_positions(
+            batch, id_col, text_col, k)
+        g = grams.view(np.int64)
+        flag = np.zeros(len(g), bool)
+        if len(g):
+            gs, ws = ray.get(win_ref)
+            if len(gs):
+                pos = np.minimum(np.searchsorted(gs, g), len(gs) - 1)
+                flag = (gs[pos] == g) & (ws[pos] < packed) & valid
         cleaned, removed = _apply_cuts(text, doc_idx[flag],
                                        local[flag], k)
         # preserve every input column (text replaced in place) so the
@@ -146,198 +149,11 @@ def dedup_spans(ds, *, id_col: str = "doc_id", text_col: str = "text",
                                text_col, cleaned.cast(pa.string()))
         return out.append_column("n_cut", pa.array(removed, pa.int64()))
 
-    return ds.map_batches(cut, batch_format="pyarrow",
-                          batch_size=batch_size, num_cpus=1)
-
-
-def dedup_spans_bucketed(ds, workdir: str, *, id_col: str = "doc_id",
-                         text_col: str = "text",
-                         k: int = DEFAULT_SPAN_K,
-                         num_buckets: int = 16,
-                         bloom_bits: int = 1 << 22,
-                         bloom_hashes: int = 4):
-    """Zero-BROADCAST span dedup — identical cut semantics to
-    :func:`dedup_spans`, but the winner map never leaves disk, so the
-    chars/k x 16 B broadcast bound disappears. The composition that
-    makes it affordable is a Bloom prefilter over the winner
-    fingerprints (functions/bloom.py): only probe positions whose gram
-    passes the filter (true repeats + the documented false-positive
-    trickle) are shuffled to the winner buckets; everything else never
-    leaves its task.
-
-    Shape:
-
-    1. docs written hive-bucketed by ``bucket_of(id)`` (one content
-       write — the paragraphs-bucketed resume layout);
-    2. anchor pass -> ``groupby.min`` packed winners -> written
-       hive-bucketed by ``bucket_of(gram)``; one extra tiny aggregate
-       builds the winner Bloom (m/8 bytes broadcast — bits, not the
-       map);
-    3. probe pass re-scans content, keeps Bloom-surviving positions,
-       writes (gram, packed) rows into the SAME gram-bucket layout;
-    4. one task per gram bucket sort-merges winners x probes into
-       removal positions, written hive-bucketed by doc bucket;
-    5. one task per doc bucket applies the positional span cuts
-       (_apply_cuts — no text probe at all).
-
-    Returns the same (id_col, text, n_cut) dataset."""
-    import os
-    import shutil
-
-    import pyarrow.dataset as pads
-    import ray
-    import ray.data as rd
-    from ray.data.aggregate import Min
-
-    from dqm_ray.functions.bloom import (bloom_bit_positions,
-                                         build_bloom)
-    from dqm_ray.sources.bucketed import bucket_of
-
-    docs_dir = os.path.join(workdir, "docs")
-    win_dir = os.path.join(workdir, "winners")
-    probe_dir = os.path.join(workdir, "probes")
-    rm_dir = os.path.join(workdir, "removals")
-    # stale generations must not be read — but delete ONLY the subdirs
-    # this op owns, never a caller-supplied directory wholesale
-    for d in (docs_dir, win_dir, probe_dir, rm_dir):
-        shutil.rmtree(d, ignore_errors=True)
-
-    def add_doc_bucket(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        return batch.append_column(
-            "bucket", pa.array(bucket_of(ids, num_buckets), pa.int32()))
-
-    ds.map_batches(add_doc_bucket, batch_format="pyarrow",
-                   num_cpus=1).write_parquet(
-        docs_dir, partition_cols=["bucket"])
-    if not os.path.isdir(docs_dir):  # empty input wrote nothing
-        return rd.from_arrow(pa.table({
-            id_col: pa.array([], pa.int64()),
-            text_col: pa.array([], pa.string()),
-            "n_cut": pa.array([], pa.int64())}))
-    # read the written docs back for the anchor + probe passes — the
-    # upstream `ds` lineage executes exactly ONCE (the doc write)
-    src = rd.read_parquet(docs_dir)
-
-    def grams_of(batch: pa.Table):
-        _t, grams, _d, local, packed, valid, _b = _gram_positions(
-            batch, id_col, text_col, k)
-        return grams, local, packed, valid
-
-    def anchor_partial(batch: pa.Table) -> pa.Table:
-        grams, local, packed, valid = grams_of(batch)
-        m = valid & (local % k == 0)
-        return pa.table({
-            "gram": pa.array(grams[m].view(np.int64), pa.int64()),
-            "packed": pa.array(packed[m], pa.int64()),
-        })
-
-    winners = src.map_batches(anchor_partial, batch_format="pyarrow",
-                              num_cpus=1) \
-        .groupby("gram").aggregate(Min("packed", alias_name="w")) \
-        .materialize()  # two consumers: bucket write + bloom build
-
-    def add_gram_bucket(batch: pa.Table) -> pa.Table:
-        g = batch.column("gram").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "gbucket", pa.array(bucket_of(g, num_buckets), pa.int32()))
-
-    winners.map_batches(add_gram_bucket, batch_format="pyarrow",
-                        num_cpus=1) \
-        .write_parquet(win_dir, partition_cols=["gbucket"])
-    words = build_bloom(winners, key_col="gram", m_bits=bloom_bits,
-                        k_hashes=bloom_hashes)
-    words_ref = ray.put(
-        np.ascontiguousarray(words, np.int64).view(np.uint64))
-
-    def probe_partial(batch: pa.Table) -> pa.Table:
-        ww = ray.get(words_ref)
-        grams, _local, packed, valid = grams_of(batch)
-        gi = grams.view(np.int64)
-        bits = bloom_bit_positions(gi, m_bits=bloom_bits,
-                                   k_hashes=bloom_hashes) \
-            .view(np.uint64)
-        hit = ((ww[(bits >> np.uint64(6)).astype(np.int64)]
-                >> (bits & np.uint64(63))) & np.uint64(1)) \
-            .all(axis=1) & valid
-        return pa.table({
-            "gram": pa.array(gi[hit], pa.int64()),
-            "packed": pa.array(packed[hit], pa.int64()),
-            "gbucket": pa.array(
-                bucket_of(gi[hit], num_buckets), pa.int32()),
-        })
-
-    src.map_batches(probe_partial, batch_format="pyarrow",
-                    num_cpus=1) \
-        .write_parquet(probe_dir, partition_cols=["gbucket"])
-
-    def removals_one(batch: pa.Table) -> pa.Table:
-        out_p = []
-        for i in batch.column("id").to_pylist():
-            wb = os.path.join(win_dir, f"gbucket={i}")
-            pb = os.path.join(probe_dir, f"gbucket={i}")
-            if not (os.path.isdir(wb) and os.path.isdir(pb)):
-                continue
-            wt = pads.dataset(wb).to_table()
-            pt = pads.dataset(pb).to_table()
-            wg = wt.column("gram").to_numpy(zero_copy_only=False)
-            ww = wt.column("w").to_numpy(zero_copy_only=False)
-            order = np.argsort(wg.view(np.uint64), kind="stable")
-            wg_s, ww_s = wg[order], ww[order]
-            pg = pt.column("gram").to_numpy(zero_copy_only=False)
-            pp = pt.column("packed").to_numpy(zero_copy_only=False)
-            pos = np.minimum(
-                np.searchsorted(wg_s.view(np.uint64),
-                                pg.view(np.uint64)), len(wg_s) - 1)
-            flag = (wg_s[pos] == pg) & (ww_s[pos] < pp)
-            out_p.append(pp[flag])
-        pp_all = (np.concatenate(out_p) if out_p
-                  else np.empty(0, np.int64))
-        return pa.table({
-            "packed": pa.array(pp_all, pa.int64()),
-            "bucket": pa.array(
-                bucket_of(pp_all >> 32, num_buckets), pa.int32()),
-        })
-
-    rd.range(num_buckets).map_batches(
-        removals_one, batch_format="pyarrow", batch_size=1,
-        num_cpus=1).write_parquet(rm_dir, partition_cols=["bucket"])
-
-    def cut_bucket(batch: pa.Table) -> pa.Table:
-        pieces = []
-        for i in batch.column("id").to_pylist():
-            db = os.path.join(docs_dir, f"bucket={i}")
-            if not os.path.isdir(db):
-                continue
-            docs = pads.dataset(db).to_table()
-            rb = os.path.join(rm_dir, f"bucket={i}")
-            rm = (pads.dataset(rb).to_table().column("packed")
-                  .to_numpy(zero_copy_only=False)
-                  if os.path.isdir(rb) else np.empty(0, np.int64))
-            ids = docs.column(id_col).to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            order = np.argsort(ids, kind="stable")
-            rm_ids = rm >> 32
-            rows = order[np.searchsorted(ids[order], rm_ids)] \
-                if len(rm) else np.empty(0, np.int64)
-            locs = rm & 0xFFFFFFFF
-            text = docs.column(text_col).combine_chunks()
-            cleaned, removed = _apply_cuts(text, rows, locs, k)
-            out = docs.set_column(
-                docs.schema.get_field_index(text_col), text_col,
-                cleaned.cast(pa.string()))
-            pieces.append(out.append_column(
-                "n_cut", pa.array(removed, pa.int64())))
-        if not pieces:
-            if os.path.isdir(docs_dir):
-                sch = pads.dataset(docs_dir, partitioning="hive").schema
-                empty = sch.empty_table().drop(["bucket"])
-            else:
-                empty = pa.table({id_col: pa.array([], pa.int64()),
-                                  text_col: pa.array([], pa.string())})
-            return empty.append_column("n_cut", pa.array([], pa.int64()))
-        return pa.concat_tables(pieces)
-
-    return rd.range(num_buckets).map_batches(
-        cut_bucket, batch_format="pyarrow", batch_size=1, num_cpus=1)
+    out = ds.map_batches(cut, batch_format="pyarrow",
+                         batch_size=batch_size, num_cpus=1)
+    if rows:
+        return out
+    # every doc shorter than k, or no rows: keep the output schema even
+    # when the input was empty
+    return out.union(empty_output(ds, cut, pa.schema(
+        [(id_col, pa.int64()), (text_col, pa.string())])))

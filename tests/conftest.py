@@ -1,3 +1,4 @@
+import collections
 import logging
 import os
 import re
@@ -5,6 +6,7 @@ import sys
 import time
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pytest
 
@@ -70,16 +72,16 @@ def dup_docs():
     return _docs_at_dup_rate
 
 
-_REDUCE_LOG = re.compile(r"reduce_partials (\S+): path=(\w+) "
+_REDUCE_LOG = re.compile(r"reduce_partials (\S+): k=(\d+) "
                          r"partial_rows=(\d+) partial_bytes=(\d+)")
 
 
 @pytest.fixture
 def reduce_at_budget(monkeypatch, caplog):
     """``reduce_at_budget(budget, fn, what)`` runs ``fn()`` with
-    ``SMALL_REDUCE_BYTES = budget`` and returns (output, path taken,
-    partial bytes, seconds), read from the one reduce record of
-    ``what`` that ``fn`` logs."""
+    ``SMALL_REDUCE_BYTES = budget`` and returns (output, K, partial
+    bytes, seconds), read from the one reduce record of ``what`` that
+    ``fn`` logs."""
     import dqm_ray.state.reduce as reduce_mod
 
     caplog.set_level(logging.INFO, logger="dqm_ray")
@@ -90,10 +92,66 @@ def reduce_at_budget(monkeypatch, caplog):
         t0 = time.perf_counter()
         out = fn()
         dt = time.perf_counter() - t0
-        (path, nbytes), = [
-            (m.group(2), int(m.group(4))) for m in
+        (k, nbytes), = [
+            (int(m.group(2)), int(m.group(4))) for m in
             (_REDUCE_LOG.match(r.getMessage()) for r in caplog.records
              if r.name == "dqm_ray") if m and m.group(1) == what]
-        return out, path, nbytes, dt
+        return out, k, nbytes, dt
 
     return run
+
+
+def _boilerplate_twin(df: pd.DataFrame, min_len: int,
+                      min_docs: int) -> pd.DataFrame:
+    """Naive twin of remove_boilerplate_lines: a line is boilerplate
+    iff it has >= ``min_len`` characters and occurs in >= ``min_docs``
+    docs (rows); a null text has no lines and stays null."""
+    docs_per_line = collections.Counter()
+    for t in df["text"]:
+        if t is not None:
+            docs_per_line.update(set(t.split("\n")))
+    boiler = {ln for ln, n in docs_per_line.items()
+              if n >= min_docs and len(ln) >= min_len}
+    texts, removed = [], []
+    for t in df["text"]:
+        lines = [] if t is None else t.split("\n")
+        kept = [ln for ln in lines if ln not in boiler]
+        texts.append(None if t is None else "\n".join(kept))
+        removed.append(len(lines) - len(kept))
+    return pd.DataFrame({"doc_id": df["doc_id"].to_numpy(), "text": texts,
+                         "n_removed": np.array(removed, np.int64)}) \
+        .sort_values("doc_id").reset_index(drop=True)
+
+
+def _paragraphs_twin(df: pd.DataFrame, sep: str = "\n\n") -> pd.DataFrame:
+    """Naive twin of dedup_paragraphs: a sequential seen-set over
+    (doc_id, paragraph index) order; empty paragraphs never
+    participate."""
+    seen = set()
+    rows = []
+    for did, t in sorted(zip(df["doc_id"], df["text"])):
+        kept, nd = [], 0
+        for p in t.split(sep):
+            if len(p) < 1:
+                kept.append(p)
+                continue
+            if p in seen:
+                nd += 1
+            else:
+                seen.add(p)
+                kept.append(p)
+        rows.append((did, sep.join(kept), len(kept), nd))
+    return pd.DataFrame(rows,
+                        columns=["doc_id", "text", "n_kept", "n_dropped"])
+
+
+@pytest.fixture
+def boilerplate_twin():
+    """``boilerplate_twin(df, min_len, min_docs)`` -> expected frame."""
+    return _boilerplate_twin
+
+
+@pytest.fixture
+def paragraphs_twin():
+    """``paragraphs_twin(df, sep="\\n\\n")`` -> expected frame."""
+    return _paragraphs_twin

@@ -255,13 +255,14 @@ def test_dedup_spans_cuts_repeats(ray_session):
         assert out2.loc[i, "text"] == out.loc[i, "text"]
 
 
-def test_dedup_spans_bucketed_matches_broadcast(ray_session, tmp_path):
-    """Zero-broadcast bucketed span dedup (bloom-prefiltered probe,
-    positional cut) == the broadcast path, row for row; rerun with the
-    same workdir stays clean."""
+def test_dedup_spans_partitioned_matches_one_task(ray_session,
+                                                  reduce_at_budget):
+    """The winner-map reduce split into K = 4 parts of the anchors gives
+    the one-task (K = 1) output row for row, for any input order."""
     import ray.data as rd
 
-    from dqm_ray.functions.spans import dedup_spans, dedup_spans_bucketed
+    from dqm_ray.functions.spans import dedup_spans
+    from dqm_ray.state.reduce import SMALL_REDUCE_BYTES
 
     k = 10
     span = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789abcd"
@@ -274,34 +275,71 @@ def test_dedup_spans_bucketed_matches_broadcast(ray_session, tmp_path):
         5: f"another host page quoting {span} yet again with more",
     }
     df = pd.DataFrame({"doc_id": list(docs), "text": list(docs.values())})
-    a = dedup_spans(rd.from_pandas(df), k=k).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    wd = str(tmp_path / "spans")
-    b = dedup_spans_bucketed(rd.from_pandas(df), wd, k=k,
-                             num_buckets=4, bloom_bits=1 << 12) \
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
+
+    def run(frame):
+        return lambda: dedup_spans(rd.from_pandas(frame), k=k) \
+            .to_pandas().sort_values("doc_id").reset_index(drop=True)
+
+    a, k1, nbytes, _ = reduce_at_budget(SMALL_REDUCE_BYTES, run(df),
+                                        "dedup_spans")
+    b, k4, _, _ = reduce_at_budget(nbytes // 3, run(df), "dedup_spans")
+    c, _, _, _ = reduce_at_budget(
+        nbytes // 3, run(df.sample(frac=1.0, random_state=1)),
+        "dedup_spans")
+    assert (k1, k4) == (1, 4)
+    assert a.loc[1, "n_cut"] > 0
     pd.testing.assert_frame_equal(a, b)
-    c = dedup_spans_bucketed(rd.from_pandas(df.sample(frac=1.0,
-                                                      random_state=1)),
-                             wd, k=k, num_buckets=4,
-                             bloom_bits=1 << 12) \
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
     pd.testing.assert_frame_equal(a, c)
 
 
-def test_dedup_spans_bucketed_empty_input(ray_session, tmp_path):
-    """An upstream filter that drops every row yields an empty result,
-    not a crash (review finding)."""
+def test_dedup_spans_bucketed_empty_input(ray_session, reduce_at_budget):
+    """An upstream filter that drops every row yields an empty result
+    with ``n_cut`` in its schema, not a crash, at the one-task budget
+    and at a third of the partial bytes (K = 4 when there are any)."""
     import ray.data as rd
 
-    from dqm_ray.functions.spans import dedup_spans_bucketed
+    from dqm_ray.functions.spans import dedup_spans
+    from dqm_ray.state.reduce import SMALL_REDUCE_BYTES
 
     empty = pd.DataFrame({"doc_id": pd.Series(dtype="int64"),
                           "text": pd.Series(dtype="object")})
-    out = dedup_spans_bucketed(rd.from_pandas(empty),
-                               str(tmp_path / "e"), k=10,
-                               num_buckets=2).to_pandas()
-    assert len(out) == 0
+    full = pd.DataFrame({"doc_id": [0, 1],
+                         "text": ["a document long enough", "another"]})
+    inputs = {
+        "0-row": lambda: rd.from_pandas(empty),
+        "filtered": lambda: rd.from_pandas(full).repartition(2)
+        .filter(lambda r: r["doc_id"] < 0)}
+    for how, make in inputs.items():
+        run = lambda: dedup_spans(make(), k=10).materialize()  # noqa: E731
+        one, k1, nbytes, _ = reduce_at_budget(SMALL_REDUCE_BYTES, run,
+                                              "dedup_spans")
+        parts, k, _, _ = reduce_at_budget(max(nbytes // 3, 1), run,
+                                          "dedup_spans")
+        assert k1 == 1 and k == (4 if nbytes >= 3 else 1), (how, nbytes)
+        for out in (one, parts):
+            assert out.count() == 0, how
+            assert len(out.to_pandas()) == 0, how
+            assert "n_cut" in out.schema().names, how
+
+
+def test_packed_position_overflow_raises(ray_session):
+    """Ids or positions past the packed radix raise instead of
+    colliding: paragraph 2^20 of doc 1 would be doc 2's paragraph 0,
+    and a span-dedup id of 2^31 would wrap to a negative position."""
+    import ray.data as rd
+
+    from dqm_ray.functions.paragraphs import dedup_paragraphs
+    from dqm_ray.functions.spans import dedup_spans
+
+    long_doc = "\n\n" * (1 << 20) + "shared"  # "shared" is paragraph 2^20
+    t = pa.table({"doc_id": pa.array([1, 2], pa.int64()),
+                  "text": pa.array([long_doc, "shared"], pa.string())})
+    with pytest.raises(Exception, match="positions must lie"):
+        dedup_paragraphs(rd.from_arrow(t)).materialize()
+    t = pa.table({"doc_id": pa.array([1, 1 << 31], pa.int64()),
+                  "text": pa.array(["a repeated span of text"] * 2)})
+    with pytest.raises(Exception, match="ids must lie"):
+        dedup_spans(rd.from_arrow(t), k=10).materialize()
 
 
 def test_bloom_ignores_null_keys(ray_session):
@@ -320,17 +358,16 @@ def test_bloom_ignores_null_keys(ray_session):
 
 
 # ---------------------------------------------------------------------------
-# size-aware reduce: exact_dedup on the small and the large path
+# keyed reduce: exact_dedup either side of the budget, empty inputs
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("dup_rate", [0.0, 0.5, 0.95])
 def test_exact_dedup_reduce_threshold_parity(ray_session, dup_docs,
                                              reduce_at_budget, dup_rate):
-    """With the budget at the measured partial size (inclusive: small
-    path) and one byte under it (large path) the two reduce paths give
-    the same rows as each other and the pandas oracle (min id per
-    distinct text); the path taken is read from the reduce's log
-    record."""
+    """With the budget at the measured partial size (inclusive: K = 1)
+    and one byte under it (K = 2) the reduce gives the same rows as the
+    pandas oracle (min id per distinct text) on either side; K is read
+    from the reduce's log record and each side is timed."""
     import ray.data as rd
 
     from dqm_ray.state.reduce import SMALL_REDUCE_BYTES
@@ -344,35 +381,55 @@ def test_exact_dedup_reduce_threshold_parity(ray_session, dup_docs,
         return exact_dedup(rd.from_arrow(t)).to_pandas() \
             .sort_values("doc_id").reset_index(drop=True)
 
-    _, path, nbytes, _ = reduce_at_budget(SMALL_REDUCE_BYTES, run,
-                                          "exact_dedup")
-    assert path == "small" and nbytes > 0
-    small, p_small, _, t_small = reduce_at_budget(nbytes, run,
-                                                  "exact_dedup")
-    large, p_large, _, t_large = reduce_at_budget(nbytes - 1, run,
-                                                  "exact_dedup")
-    assert (p_small, p_large) == ("small", "large")
-    pd.testing.assert_frame_equal(small, large)
-    pd.testing.assert_frame_equal(small, oracle)
-    print(f"exact_dedup dup_rate={dup_rate}: small {t_small:.3f}s, "
-          f"large {t_large:.3f}s, large/small {t_large / t_small:.1f}x")
+    _, k, nbytes, _ = reduce_at_budget(SMALL_REDUCE_BYTES, run,
+                                       "exact_dedup")
+    assert k == 1 and nbytes > 0
+    one, k_one, _, t_one = reduce_at_budget(nbytes, run, "exact_dedup")
+    two, k_two, _, t_two = reduce_at_budget(nbytes - 1, run, "exact_dedup")
+    assert (k_one, k_two) == (1, 2)
+    pd.testing.assert_frame_equal(one, two)
+    pd.testing.assert_frame_equal(one, oracle)
+    print(f"exact_dedup dup_rate={dup_rate}: K=1 {t_one:.3f}s, "
+          f"K=2 {t_two:.3f}s, K=2/K=1 {t_two / t_one:.1f}x")
 
 
 def test_dedup_ops_on_empty_input(ray_session):
-    """exact_dedup and remove_boilerplate_lines return 0 rows on an
-    emptied input: filtered to 0 rows, cut to 0 blocks by limit(0), or
-    a 0-row table (corpus gates can legitimately empty their input)."""
+    """The five ops on the keyed reduce return 0 rows with their output
+    schema (``Dataset.schema()``; Ray Data's ``to_pandas`` drops the
+    columns of any all-empty Dataset) on an emptied input: filtered to 0 rows, cut to 0 blocks by
+    limit(0), or a 0-row table (corpus gates can legitimately empty
+    their input). A filter that kept no rows leaves no input schema, so
+    its output carries (doc_id, text) and the op's own columns, or just
+    the key column for keep_multi_member_buckets."""
     import ray.data as rd
 
     from dqm_ray.functions.boilerplate import remove_boilerplate_lines
+    from dqm_ray.functions.dedup import keep_multi_member_buckets
+    from dqm_ray.functions.paragraphs import dedup_paragraphs
+    from dqm_ray.functions.spans import dedup_spans
 
     t = _docs_with_dups()
-    empties = {"filtered": rd.from_arrow(t).filter(lambda r: r["doc_id"] < 0),
-               "limit0": rd.from_arrow(t).limit(0),
-               "0-row": rd.from_arrow(t.slice(0, 0))}
-    for name, ds in empties.items():
-        assert exact_dedup(ds).count() == 0, name
-        assert remove_boilerplate_lines(ds, min_docs=2).count() == 0, name
+    ops = {
+        "exact_dedup": (exact_dedup, []),
+        "boilerplate": (lambda ds: remove_boilerplate_lines(ds, min_docs=2),
+                        ["n_removed"]),
+        "multi_member": (lambda ds: keep_multi_member_buckets(ds, "doc_id"),
+                         []),
+        "paragraphs": (dedup_paragraphs, ["n_kept", "n_dropped"]),
+        "spans": (lambda ds: dedup_spans(ds, k=10), ["n_cut"]),
+    }
+    for name, (op, extra) in ops.items():
+        empties = {
+            "filtered": rd.from_arrow(t).filter(lambda r: r["doc_id"] < 0),
+            "limit0": rd.from_arrow(t).limit(0),
+            "0-row": rd.from_arrow(t.slice(0, 0))}
+        for how, ds in empties.items():
+            out = op(ds)
+            assert out.count() == 0, (name, how)
+            cols = ["doc_id", "text"] + extra
+            if (name, how) == ("multi_member", "filtered"):
+                cols = ["doc_id"]  # only its key column is known
+            assert out.schema().names == cols, (name, how, out.schema())
 
 
 def test_small_reduce_collects_nothing_on_driver(ray_session, dup_docs,

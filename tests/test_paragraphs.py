@@ -7,26 +7,7 @@ import numpy as np
 import pandas as pd
 
 
-def _naive(df, sep="\n\n"):
-    seen = set()
-    rows = []
-    for did, t in zip(df["doc_id"], df["text"]):
-        kept, nd = [], 0
-        for p in t.split(sep):
-            if len(p) < 1:
-                kept.append(p)
-                continue
-            if p in seen:
-                nd += 1
-            else:
-                seen.add(p)
-                kept.append(p)
-        rows.append((did, sep.join(kept), len(kept), nd))
-    return pd.DataFrame(rows,
-                        columns=["doc_id", "text", "n_kept", "n_dropped"])
-
-
-def test_dedup_paragraphs_edges(ray_session):
+def test_dedup_paragraphs_edges(ray_session, paragraphs_twin):
     import ray.data as rd
 
     from dqm_ray.functions.paragraphs import dedup_paragraphs
@@ -42,10 +23,10 @@ def test_dedup_paragraphs_edges(ray_session):
                        "text": docs})
     out = dedup_paragraphs(rd.from_pandas(df).repartition(3)) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(out, _naive(df))
+    pd.testing.assert_frame_equal(out, paragraphs_twin(df))
 
 
-def test_dedup_paragraphs_random_corpus(ray_session):
+def test_dedup_paragraphs_random_corpus(ray_session, paragraphs_twin):
     """Template-heavy random corpus across many blocks: winner choice
     must follow global (doc_id, idx) order, not block order."""
     import ray.data as rd
@@ -60,21 +41,22 @@ def test_dedup_paragraphs_random_corpus(ray_session):
                        "text": docs})
     out = dedup_paragraphs(rd.from_pandas(df).repartition(11)) \
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    ref = _naive(df)
+    ref = paragraphs_twin(df)
     pd.testing.assert_frame_equal(out, ref)
     # every distinct paragraph survives exactly once corpus-wide
     kept_paras = [p for t in out["text"] for p in t.split("\n\n") if p]
     assert sorted(set(kept_paras)) == sorted(kept_paras)
 
 
-def test_bucketed_path_matches_broadcast_path(ray_session, tmp_path):
-    """dedup_paragraphs_bucketed (no broadcast; per-bucket join) must
-    produce exactly the broadcast path's output on a template-heavy
-    corpus."""
+def test_dedup_paragraphs_partitioned_matches_one_task(ray_session,
+                                                      reduce_at_budget):
+    """The winner reduce split into K = 4 parts of the partials gives
+    the one-task (K = 1) output on a template-heavy corpus over many
+    blocks."""
     import ray.data as rd
 
-    from dqm_ray.functions.paragraphs import (dedup_paragraphs,
-                                              dedup_paragraphs_bucketed)
+    from dqm_ray.functions.paragraphs import dedup_paragraphs
+    from dqm_ray.state.reduce import SMALL_REDUCE_BYTES
 
     rng = np.random.default_rng(3)
     pool = [f"shared para {i} body" for i in range(30)]
@@ -83,10 +65,13 @@ def test_bucketed_path_matches_broadcast_path(ray_session, tmp_path):
     docs[7] = ""                       # empty doc survives both paths
     df = pd.DataFrame({"doc_id": np.arange(300, dtype=np.int64),
                        "text": docs})
-    ds = rd.from_pandas(df).repartition(9)
-    a = dedup_paragraphs(ds).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    b = dedup_paragraphs_bucketed(ds, str(tmp_path / "w"),
-                                  num_buckets=8).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b[a.columns.tolist()])
+
+    def run():
+        return dedup_paragraphs(rd.from_pandas(df).repartition(9)) \
+            .to_pandas().sort_values("doc_id").reset_index(drop=True)
+
+    what = "dedup_paragraphs"
+    a, k1, nbytes, _ = reduce_at_budget(SMALL_REDUCE_BYTES, run, what)
+    b, k4, _, _ = reduce_at_budget(nbytes // 3, run, what)
+    assert (k1, k4) == (1, 4)
+    pd.testing.assert_frame_equal(a, b)

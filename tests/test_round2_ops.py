@@ -1,8 +1,6 @@
 """Boilerplate-line removal, document chunking, anti join, rollup, and
 distributed k-means — round-2 additions."""
 
-import collections
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -78,32 +76,51 @@ def test_doc_distinct_counts_matches_bruteforce():
         assert np.array_equal(counts, ref.to_numpy())
 
 
-def test_boilerplate_bucketed_matches_broadcast(ray_session, tmp_path):
-    """Zero-broadcast bucketed clean == broadcast clean, row for row
-    (the paragraphs-bucketed parity pattern)."""
-    from dqm_ray.functions.boilerplate import (
-        remove_boilerplate_lines, remove_boilerplate_lines_bucketed)
+def _boilerplate_at_k(reduce_at_budget, tbl):
+    """Clean ``tbl`` with the frequent-line reduce in one task (K = 1)
+    and split into K = 4 parts; return both outputs sorted by id, the
+    cleaning call and the K = 4 budget."""
+    from dqm_ray.functions.boilerplate import remove_boilerplate_lines
+    from dqm_ray.state.reduce import SMALL_REDUCE_BYTES
 
+    def run():
+        return remove_boilerplate_lines(
+            _ds(tbl), text_col="text", id_col="doc_id", min_len=10,
+            min_docs=10).to_pandas().sort_values("doc_id") \
+            .reset_index(drop=True)
+
+    what = "remove_boilerplate_lines"
+    a, k1, nbytes, _ = reduce_at_budget(SMALL_REDUCE_BYTES, run, what)
+    b, k4, _, _ = reduce_at_budget(nbytes // 3, run, what)
+    assert (k1, k4) == (1, 4)
+    return a, b, run, nbytes // 3
+
+
+def test_boilerplate_bucketed_matches_broadcast(ray_session,
+                                                reduce_at_budget):
+    """The frequent-line reduce split into K = 4 hash parts (buckets)
+    gives the one-task (K = 1) output row for row, and a rerun at
+    K = 4 gives it again."""
     tbl, _, _ = _docs_with_boilerplate()
-    a = remove_boilerplate_lines(
-        _ds(tbl), text_col="text", id_col="doc_id",
-        min_len=10, min_docs=10).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    b = remove_boilerplate_lines_bucketed(
-        _ds(tbl), str(tmp_path / "bp"), text_col="text",
-        id_col="doc_id", min_len=10, min_docs=10,
-        num_buckets=4, num_parts=8).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
+    a, b, run, budget = _boilerplate_at_k(reduce_at_budget, tbl)
     pd.testing.assert_frame_equal(a, b)
     assert (b["n_removed"].to_numpy()[:12] == 2).all()
-    # rerunning with the SAME workdir must not read the stale
-    # generation next to the new files (write_parquet appends)
-    c = remove_boilerplate_lines_bucketed(
-        _ds(tbl), str(tmp_path / "bp"), text_col="text",
-        id_col="doc_id", min_len=10, min_docs=10,
-        num_buckets=4, num_parts=8).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
+    c, k4, _, _ = reduce_at_budget(budget, run, "remove_boilerplate_lines")
+    assert k4 == 4
     pd.testing.assert_frame_equal(a, c)
+
+
+def test_boilerplate_bucketed_id_bounds(ray_session, reduce_at_budget):
+    """End to end: ids at both ends of int64 clean alike at K = 1 and
+    K = 4 and come back unchanged (no id is packed into a position)."""
+    tbl, _, _ = _docs_with_boilerplate()
+    ids = tbl.column("doc_id").to_numpy().copy()
+    ids[0], ids[-1] = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    tbl = tbl.set_column(0, "doc_id", pa.array(ids, pa.int64()))
+    a, b, _, _ = _boilerplate_at_k(reduce_at_budget, tbl)
+    pd.testing.assert_frame_equal(a, b)
+    assert (b["n_removed"].to_numpy()[:12] == 2).all()
+    assert b["doc_id"].tolist() == sorted(ids.tolist())
 
 
 def test_boilerplate_noop_below_threshold(ray_session):
@@ -120,38 +137,19 @@ def test_boilerplate_noop_below_threshold(ray_session):
     assert set(out["text"]) == set(tbl.column("text").to_pylist())
 
 
-def _boilerplate_oracle(df: pd.DataFrame, min_len: int,
-                        min_docs: int) -> pd.DataFrame:
-    """Naive twin: a line is boilerplate iff it has >= ``min_len``
-    characters and occurs in >= ``min_docs`` docs (rows)."""
-    docs_per_line = collections.Counter()
-    for t in df["text"]:
-        docs_per_line.update(set(t.split("\n")))
-    boiler = {ln for ln, n in docs_per_line.items()
-              if n >= min_docs and len(ln) >= min_len}
-    texts, removed = [], []
-    for t in df["text"]:
-        lines = t.split("\n")
-        kept = [ln for ln in lines if ln not in boiler]
-        texts.append("\n".join(kept))
-        removed.append(len(lines) - len(kept))
-    return pd.DataFrame({"doc_id": df["doc_id"].to_numpy(), "text": texts,
-                         "n_removed": np.array(removed, np.int64)}) \
-        .sort_values("doc_id").reset_index(drop=True)
-
-
 @pytest.mark.parametrize("dup_rate", [0.0, 0.5, 0.95])
 def test_boilerplate_reduce_threshold_parity(ray_session, dup_docs,
-                                             reduce_at_budget, dup_rate):
-    """With the budget at the measured partial size (inclusive: small
-    path) and one byte under it (large path) the two reduce paths
-    remove the same lines as each other and the naive twin; the path
-    taken is read from the reduce's log record."""
+                                             reduce_at_budget,
+                                             boilerplate_twin, dup_rate):
+    """With the budget at the measured partial size (inclusive: K = 1)
+    and one byte under it (K = 2) the reduce removes the same lines as
+    the naive twin on either side; K is read from the reduce's log
+    record and each side is timed."""
     from dqm_ray.functions.boilerplate import remove_boilerplate_lines
     from dqm_ray.state.reduce import SMALL_REDUCE_BYTES
 
     t = dup_docs(600, dup_rate, seed=int(dup_rate * 100) + 1)
-    oracle = _boilerplate_oracle(t.to_pandas(), 10, 20)
+    oracle = boilerplate_twin(t.to_pandas(), 10, 20)
     assert oracle["n_removed"].sum() > 0
 
     def run():
@@ -161,15 +159,15 @@ def test_boilerplate_reduce_threshold_parity(ray_session, dup_docs,
             .sort_values("doc_id").reset_index(drop=True)
 
     what = "remove_boilerplate_lines"
-    _, path, nbytes, _ = reduce_at_budget(SMALL_REDUCE_BYTES, run, what)
-    assert path == "small" and nbytes > 0
-    small, p_small, _, t_small = reduce_at_budget(nbytes, run, what)
-    large, p_large, _, t_large = reduce_at_budget(nbytes - 1, run, what)
-    assert (p_small, p_large) == ("small", "large")
-    pd.testing.assert_frame_equal(small, large)
-    pd.testing.assert_frame_equal(small, oracle)
-    print(f"{what} dup_rate={dup_rate}: small {t_small:.3f}s, "
-          f"large {t_large:.3f}s, large/small {t_large / t_small:.1f}x")
+    _, k, nbytes, _ = reduce_at_budget(SMALL_REDUCE_BYTES, run, what)
+    assert k == 1 and nbytes > 0
+    one, k_one, _, t_one = reduce_at_budget(nbytes, run, what)
+    two, k_two, _, t_two = reduce_at_budget(nbytes - 1, run, what)
+    assert (k_one, k_two) == (1, 2)
+    pd.testing.assert_frame_equal(one, two)
+    pd.testing.assert_frame_equal(one, oracle)
+    print(f"{what} dup_rate={dup_rate}: K=1 {t_one:.3f}s, "
+          f"K=2 {t_two:.3f}s, K=2/K=1 {t_two / t_one:.1f}x")
 
 
 def test_doc_distinct_counts_pack_bounds():
@@ -195,61 +193,63 @@ def test_doc_distinct_counts_pack_bounds():
 
 
 def test_packed_positions_bounds():
-    """Bucketed line positions pack (id << 20) + line index: ids in
-    [-2^43, 2^43) and up to 2^20 lines per doc pack without collision
-    and decode by an arithmetic shift; one past either bound raises
-    ValueError."""
-    from dqm_ray.functions.boilerplate import POS_BITS, _packed_positions
+    """pack_positions packs (id << bits) + position: ids in
+    [-2^(63-bits), 2^(63-bits)) and positions in [0, 2^bits) pack
+    without collision, order by (id, position) and decode by an
+    arithmetic shift; one past any bound raises ValueError."""
+    from dqm_ray.functions.dedup import pack_positions
 
-    top, bottom = (1 << 43) - 1, -(1 << 43)
-    p = _packed_positions(np.array([bottom, -1, 0, top], np.int64),
-                          np.array([0, 0, 1, 2, 3, 3], np.int64))
-    assert p.tolist() == [bottom << POS_BITS, (bottom << POS_BITS) + 1,
-                          -1 << POS_BITS, 0, top << POS_BITS,
-                          (top << POS_BITS) + 1]
-    assert (p >> POS_BITS).tolist() == [bottom, bottom, -1, 0, top, top]
-    for bad in (bottom - 1, top + 1):
-        with pytest.raises(ValueError, match="ids must lie"):
-            _packed_positions(np.array([0, bad], np.int64),
-                              np.array([0, 1], np.int64))
-    n = 1 << POS_BITS
-    p = _packed_positions(np.array([5, 6], np.int64),
-                          np.r_[np.zeros(n, np.int64), 1])
-    assert p[n - 1] == (5 << POS_BITS) + n - 1 and p[n] == 6 << POS_BITS
-    with pytest.raises(ValueError, match="lines"):
-        _packed_positions(np.array([5], np.int64),
-                          np.zeros(n + 1, np.int64))
+    for bits in (20, 32):
+        top, bottom = (1 << (63 - bits)) - 1, -(1 << (63 - bits))
+        last = (1 << bits) - 1
+        ids = np.array([bottom, bottom, -1, 0, top, top], np.int64)
+        pos = np.array([0, last, 0, 1, 0, last], np.int64)
+        p = pack_positions(ids, pos, bits)
+        assert (np.diff(p) > 0).all()
+        assert (p >> bits).tolist() == ids.tolist()
+        assert (p & last).tolist() == pos.tolist()
+        for bad in (bottom - 1, top + 1):
+            with pytest.raises(ValueError, match="ids must lie"):
+                pack_positions(np.array([0, bad], np.int64),
+                               np.array([0, 0], np.int64), bits)
+        for bad in (-1, last + 1):
+            with pytest.raises(ValueError, match="positions must lie"):
+                pack_positions(np.array([0, 1], np.int64),
+                               np.array([0, bad], np.int64), bits)
 
 
-def test_boilerplate_bucketed_id_bounds(ray_session, tmp_path):
-    """End to end: the smallest and largest packable ids clean like the
-    broadcast path; one past the top raises ValueError instead of
-    colliding."""
-    from dqm_ray.functions.boilerplate import (
-        remove_boilerplate_lines, remove_boilerplate_lines_bucketed)
+def test_boilerplate_null_text(ray_session, dup_docs, boilerplate_twin):
+    """A null text is a doc with no lines: kept with text null and
+    n_removed 0 — alone, beside other docs, and after exact_dedup (which
+    keeps one null-text doc as a text of its own)."""
+    from dqm_ray.functions.boilerplate import remove_boilerplate_lines
+    from dqm_ray.functions.dedup import exact_dedup
 
-    tbl, _, _ = _docs_with_boilerplate()
-    ids = tbl.column("doc_id").to_numpy().copy()
-    ids[0], ids[-1] = -(1 << 43), (1 << 43) - 1
-    inside = tbl.set_column(0, "doc_id", pa.array(ids, pa.int64()))
-    a = remove_boilerplate_lines(
-        _ds(inside), text_col="text", id_col="doc_id", min_len=10,
-        min_docs=10).to_pandas().sort_values("doc_id") \
-        .reset_index(drop=True)
-    b = remove_boilerplate_lines_bucketed(
-        _ds(inside), str(tmp_path / "in"), text_col="text",
-        id_col="doc_id", min_len=10, min_docs=10, num_buckets=4,
-        num_parts=8).to_pandas().sort_values("doc_id") \
-        .reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
-    ids[-1] = 1 << 43
-    outside = tbl.set_column(0, "doc_id", pa.array(ids, pa.int64()))
-    # Ray Data re-raises the worker's ValueError as a UserCodeException
-    with pytest.raises(Exception, match="ids must lie"):
-        remove_boilerplate_lines_bucketed(
-            _ds(outside), str(tmp_path / "out"), text_col="text",
-            id_col="doc_id", min_len=10, min_docs=10, num_buckets=4,
-            num_parts=8).materialize()
+    nulls = pa.table({"doc_id": pa.array([3, 1], pa.int64()),
+                      "text": pa.array([None, None], pa.string())})
+    out = remove_boilerplate_lines(_ds(nulls), min_docs=2).to_pandas() \
+        .sort_values("doc_id").reset_index(drop=True)
+    assert out["doc_id"].tolist() == [1, 3]
+    assert out["text"].isna().all() and (out["n_removed"] == 0).all()
+
+    t = dup_docs(300, 0.5, seed=9)
+    texts = t.column("text").to_pylist()
+    for i in (0, 5, 17):
+        texts[i] = None
+    t = t.set_column(1, "text", pa.array(texts, pa.string()))
+    df = t.to_pandas()
+    got = remove_boilerplate_lines(_ds(t), min_len=10, min_docs=20) \
+        .to_pandas().sort_values("doc_id").reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, boilerplate_twin(df, 10, 20))
+
+    chain = remove_boilerplate_lines(exact_dedup(_ds(t)), min_len=10,
+                                     min_docs=20).to_pandas() \
+        .sort_values("doc_id").reset_index(drop=True)
+    key = df["text"].fillna("\0null")
+    winners = df[df["doc_id"].isin(df.groupby(key)["doc_id"].min())]
+    pd.testing.assert_frame_equal(chain,
+                                  boilerplate_twin(winners, 10, 20))
+    assert chain["text"].isna().sum() == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,28 +1,33 @@
-"""Measure both paths of ``state.reduce.reduce_partials`` as the partial
-bytes grow: wall seconds of the one-task (small) path and of the
-caller's shuffle (large) path, and the reduce task's RSS (VmRSS and
-private RssAnon, sampled every 5 ms inside the task).
+"""Measure ``state.reduce.reduce_partials`` as the partial bytes grow:
+wall seconds of the whole reduce, the K it chose, and the peak RSS of
+every task that ran the op's reduce function (VmRSS and private
+RssAnon, sampled every 5 ms from the start of the call — the task's
+concatenated partials are already resident then).
 
 It reduces synthetic partials with the schema each op's combine emits
 (generated inside Ray tasks in 64k-row blocks, so the driver holds none
-of them) through that op's own small/large reduce functions:
+of them) through that op's own reduce function and key:
 
 - ``exact_dedup``: (doc_id, hex sha256), a third of the keys repeated;
-- ``boilerplate``: (part, h1, h2, n), 2% of the pairs a shared pool.
+- ``boilerplate``: (h1, h2, n), 2% of the pairs a shared pool.
 
 One JSON line per measurement. Run one op and one size per process for
-a fresh reduce worker (worker reuse carries RSS over between runs).
+a fresh set of workers (worker reuse carries RSS over between runs).
 
 Usage: python tools/reduce_sweep.py OP MIB[,MIB...] [--reps N]
-           [--paths small,large] [--num-cpus N]
+           [--num-cpus N]
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
+import logging
 import os
+import re
 import sys
+import tempfile
 import threading
 import time
 
@@ -46,29 +51,34 @@ def _status() -> dict:
     return out
 
 
-@ray.remote(num_returns=2)
-def _reduce_blocks_sampled(small, *blocks):
-    """``state.reduce._reduce_blocks`` plus an RSS sampler thread."""
-    start = _status()
-    peak = dict(start)
-    stop = threading.Event()
+def _sampled(reduce, out_dir: str):
+    """``reduce`` plus an RSS sampler thread; each call writes one JSON
+    file (pid, rows, start and peak MiB) to ``out_dir``."""
+    def run(table: pa.Table) -> pa.Table:
+        start = _status()
+        peak = dict(start)
+        stop = threading.Event()
 
-    def sample():
-        while not stop.is_set():
-            for k, v in _status().items():
-                peak[k] = max(peak[k], v)
-            time.sleep(0.005)
+        def sample():
+            while not stop.is_set():
+                for k, v in _status().items():
+                    peak[k] = max(peak[k], v)
+                time.sleep(0.005)
 
-    th = threading.Thread(target=sample, daemon=True)
-    th.start()
-    tables = [b for b in blocks if b.num_rows]
-    table = pa.concat_tables(tables) if tables else pa.table({})
-    value = small(table)
-    stop.set()
-    th.join()
-    for k, v in _status().items():
-        peak[k] = max(peak[k], v)
-    return {"start": start, "peak": peak}, value
+        th = threading.Thread(target=sample, daemon=True)
+        th.start()
+        value = reduce(table)
+        stop.set()
+        th.join()
+        for k, v in _status().items():
+            peak[k] = max(peak[k], v)
+        path = os.path.join(out_dir, f"{os.getpid()}-{time.time_ns()}.json")
+        with open(path, "w") as f:
+            json.dump({"rows": table.num_rows, "start": start,
+                       "peak": peak}, f)
+        return value
+
+    return run
 
 
 def _gen_exact(batch):
@@ -97,14 +107,13 @@ def _gen_lines(batch):
         h1[:shared] %= 256
         h2[:shared] = h1[:shared] * 7
         out.append(pa.table({
-            "part": pa.array((h1 & 63).astype(np.int32)),
             "h1": pa.array(h1), "h2": pa.array(h2),
             "n": pa.array(rng.integers(1, 3, BLOCK_ROWS))}))
     return pa.concat_tables(out)
 
 
-def _reduce_fns(op: str):
-    """The (small, large) pair ``op`` hands to ``reduce_partials``."""
+def _reduce_fn(op: str):
+    """The (reduce, key) pair ``op`` hands to ``reduce_partials``."""
     import ray.data as rd
 
     import dqm_ray.state.reduce as reduce_mod
@@ -112,9 +121,9 @@ def _reduce_fns(op: str):
     captured = {}
     real = reduce_mod.reduce_partials
 
-    def capture(partials, small, large, *, what):
-        captured.update(small=small, large=large)
-        return ray.put(None)
+    def capture(partials, reduce, *, key, what):
+        captured.update(reduce=reduce, key=key)
+        return ray.put(None), 1
 
     tiny = rd.from_arrow(pa.table({"doc_id": pa.array([1]),
                                    "text": pa.array(["x"])}))
@@ -129,7 +138,18 @@ def _reduce_fns(op: str):
             remove_boilerplate_lines(tiny, min_len=10, min_docs=10)
     finally:
         reduce_mod.reduce_partials = real
-    return captured["small"], captured["large"]
+    return captured["reduce"], captured["key"]
+
+
+class _LastK(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.INFO)
+        self.k = None
+
+    def emit(self, record):
+        m = re.search(r" k=(\d+) ", record.getMessage())
+        if m:
+            self.k = int(m.group(1))
 
 
 def main() -> None:
@@ -137,7 +157,6 @@ def main() -> None:
     ap.add_argument("op", choices=("exact_dedup", "boilerplate"))
     ap.add_argument("mib")
     ap.add_argument("--reps", type=int, default=2)
-    ap.add_argument("--paths", default="small,large")
     ap.add_argument("--num-cpus", type=int, default=os.cpu_count())
     args = ap.parse_args()
 
@@ -146,14 +165,16 @@ def main() -> None:
              include_dashboard=False, logging_level="ERROR")
     import ray.data as rd
 
-    import dqm_ray.state.reduce as reduce_mod
+    from dqm_ray.state.reduce import log, reduce_partials
 
     rd.DataContext.get_current().enable_progress_bars = False
-    small, large = _reduce_fns(args.op)
+    last_k = _LastK()
+    log.addHandler(last_k)
+    log.setLevel(logging.INFO)
+    reduce, key = _reduce_fn(args.op)
     gen = _gen_exact if args.op == "exact_dedup" else _gen_lines
     probe = gen({"id": [0]})
     row_bytes = probe.nbytes / probe.num_rows
-    paths = args.paths.split(",")
     try:
         for mib in (float(m) for m in args.mib.split(",")):
             nblocks = max(1, round(mib * (1 << 20) / row_bytes / BLOCK_ROWS))
@@ -161,27 +182,26 @@ def main() -> None:
                 .map_batches(gen, batch_size=1, batch_format="numpy") \
                 .materialize()
             for rep in range(args.reps):
-                for path in paths if rep % 2 == 0 else paths[::-1]:
-                    rec = {"op": args.op,
-                           "mib": round(parts.size_bytes() / (1 << 20), 1),
-                           "rows": parts.count(), "path": path, "rep": rep}
+                rec = {"op": args.op,
+                       "mib": round(parts.size_bytes() / (1 << 20), 1),
+                       "rows": parts.count(), "rep": rep}
+                with tempfile.TemporaryDirectory() as tmp:
                     t0 = time.perf_counter()
-                    if path == "small":
-                        done, value = _reduce_blocks_sampled.remote(
-                            small, *parts.to_arrow_refs())
-                        info = ray.get(done)
-                        rec.update(start_rss=info["start"]["VmRSS"],
-                                   peak_rss=info["peak"]["VmRSS"],
-                                   start_anon=info["start"]["RssAnon"],
-                                   peak_anon=info["peak"]["RssAnon"])
-                    else:
-                        reduce_mod.SMALL_REDUCE_BYTES = -1
-                        value = reduce_mod.reduce_partials(
-                            parts, small, large, what=args.op)
+                    value, _ = reduce_partials(parts, _sampled(reduce, tmp),
+                                               key=key, what=args.op)
                     ray.wait([value], fetch_local=False)
                     rec["s"] = round(time.perf_counter() - t0, 3)
-                    print(json.dumps(rec), flush=True)
-                    del value
+                    tasks = []
+                    for path in glob.glob(os.path.join(tmp, "*.json")):
+                        with open(path) as f:
+                            tasks.append(json.load(f))
+                rec.update(
+                    k=last_k.k, reduce_tasks=len(tasks),
+                    peak_rss=max(t["peak"]["VmRSS"] for t in tasks),
+                    peak_anon=max(t["peak"]["RssAnon"] for t in tasks),
+                    task_rows=sorted(t["rows"] for t in tasks))
+                print(json.dumps(rec), flush=True)
+                del value
             del parts
     finally:
         ray.shutdown()
