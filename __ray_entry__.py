@@ -3342,9 +3342,49 @@ def _dedup_spans_oracle_sql(k: int = _SPAN_K) -> str:
     return f"""
         WITH {_gram_ctes(k)},
         {_span_cut_ctes(k)}
-        SELECT d.doc_id, coalesce(a.text, '') AS text,
+        SELECT d.doc_id,
+               CASE WHEN d.text IS NOT NULL THEN coalesce(a.text, '')
+               END AS text,
                coalesce(a.n_cut, 0) AS n_cut
         FROM documents d LEFT JOIN agg a USING (doc_id)"""
+
+
+def _dedup_paragraphs_oracle_sql() -> str:
+    """Paragraph dedup in SQL: winner = min(doc_id * 2^20 + idx) per
+    distinct paragraph text (same packing as paragraphs.py POS_BITS);
+    empties never participate; every doc appears, all-dup docs with
+    text '', a null text (str_split unnests it to no rows) null with
+    0 / 0."""
+    return """
+            WITH base AS (
+              SELECT doc_id, str_split(text, chr(10)||chr(10)) AS paras
+              FROM documents),
+            occ AS (
+              SELECT doc_id, q.para AS para, q.idx AS idx FROM (
+                SELECT doc_id,
+                       unnest(list_transform(range(1, len(paras) + 1),
+                         i -> struct_pack(para := paras[i],
+                                          idx := i - 1))) AS q
+                FROM base) t),
+            w AS (SELECT para, min(doc_id * 1048576 + idx) AS wpos
+                  FROM occ WHERE length(para) >= 1 GROUP BY para),
+            k AS (SELECT o.doc_id, o.para, o.idx,
+                         (length(o.para) < 1
+                          OR o.doc_id * 1048576 + o.idx = w.wpos) AS keep
+                  FROM occ o LEFT JOIN w ON o.para = w.para),
+            a AS (
+              SELECT doc_id,
+                     coalesce(string_agg(para, chr(10)||chr(10)
+                              ORDER BY idx) FILTER (WHERE keep), '')
+                         AS text,
+                     CAST(count(*) FILTER (WHERE keep) AS BIGINT)
+                         AS n_kept,
+                     CAST(count(*) FILTER (WHERE NOT keep) AS BIGINT)
+                         AS n_dropped
+              FROM k GROUP BY doc_id)
+            SELECT d.doc_id, a.text, coalesce(a.n_kept, 0) AS n_kept,
+                   coalesce(a.n_dropped, 0) AS n_dropped
+            FROM documents d LEFT JOIN a USING (doc_id)"""
 
 
 def _zscore_oracle_sql() -> str:
@@ -4220,35 +4260,7 @@ def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
             FROM (SELECT *, row_number() OVER (PARTITION BY doc_id
                        ORDER BY score DESC, term) AS rn
                   FROM scored) WHERE rn <= 3""",
-        # winner = min(doc_id * 2^20 + idx) per distinct paragraph text
-        # (same packing as paragraphs.py POS_BITS); empties never
-        # participate; every doc appears, all-dup docs with text ''.
-        "dedup_paragraphs": """
-            WITH base AS (
-              SELECT doc_id, str_split(text, chr(10)||chr(10)) AS paras
-              FROM documents),
-            occ AS (
-              SELECT doc_id, q.para AS para, q.idx AS idx FROM (
-                SELECT doc_id,
-                       unnest(list_transform(range(1, len(paras) + 1),
-                         i -> struct_pack(para := paras[i],
-                                          idx := i - 1))) AS q
-                FROM base) t),
-            w AS (SELECT para, min(doc_id * 1048576 + idx) AS wpos
-                  FROM occ WHERE length(para) >= 1 GROUP BY para),
-            k AS (SELECT o.doc_id, o.para, o.idx,
-                         (length(o.para) < 1
-                          OR o.doc_id * 1048576 + o.idx = w.wpos) AS keep
-                  FROM occ o LEFT JOIN w ON o.para = w.para)
-            SELECT doc_id,
-                   coalesce(string_agg(para, chr(10)||chr(10)
-                            ORDER BY idx) FILTER (WHERE keep), '')
-                       AS text,
-                   CAST(count(*) FILTER (WHERE keep) AS BIGINT)
-                       AS n_kept,
-                   CAST(count(*) FILTER (WHERE NOT keep) AS BIGINT)
-                       AS n_dropped
-            FROM k GROUP BY doc_id""",
+        "dedup_paragraphs": _dedup_paragraphs_oracle_sql(),
         # same NFC + RE2 step list (text.py NORM_STEPS), same order.
         "normalize_text": _normalize_oracle_sql(),
         # identical integer log-bucket math + ceil threshold in ints

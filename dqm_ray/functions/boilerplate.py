@@ -2,10 +2,10 @@
 line whose exact text occurs in >= ``min_docs`` distinct documents —
 license headers, nav chrome, generated banners.
 
-Scale shape (TWO streaming content passes; content never enters a
-shuffle):
+Scale shape (TWO content passes over the input's blocks; content never
+enters a shuffle):
 
-1. **Count pass** — each batch splits its docs into lines,
+1. **Count pass** — each block splits its docs into lines,
    dictionary-encodes them (one Arrow C++ hash-table pass; only the
    DISTINCT lines are hashed — twice, with independent siphash keys,
    for a 128-bit combined fingerprint), dedupes per doc, and emits
@@ -15,7 +15,7 @@ shuffle):
    ``h1``-keyed parts of plain Ray tasks (K = 1 up to
    ``SMALL_REDUCE_BYTES`` of partials); the lexsorted frequent pairs
    stay in the object store (no shuffle, nothing on the driver).
-2. **Clean pass** — every batch reads the frequent 128-bit
+2. **Clean pass** — every block reads the frequent 128-bit
    fingerprints from the object store (16 B per frequent line —
    smaller than the line text the previous 3-pass design shipped),
    re-encodes its distinct lines, probes the sorted pair set, filters
@@ -39,6 +39,8 @@ shuffle + broadcast primitives add over the single-process reference.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
@@ -172,75 +174,73 @@ def remove_boilerplate_lines(ds, *, text_col: str = "text",
     lines: it is kept with text null and ``n_removed`` 0. An empty
     input returns 0 rows with the output schema.
     """
-    import ray
+    from dqm_ray.state.reduce import keyed_reduce_map
 
-    from dqm_ray.state.reduce import empty_output, reduce_partials
+    return keyed_reduce_map(
+        ds, functools.partial(_count_partial, text_col=text_col,
+                              min_len=min_len),
+        functools.partial(_frequent_pairs, min_docs=min_docs),
+        functools.partial(_clean, text_col=text_col, id_col=id_col,
+                          min_len=min_len),
+        key="h1", what="remove_boilerplate_lines",
+        fallback=pa.schema([(id_col, pa.int64()), (text_col, pa.string())]))
 
-    def count_partial(batch: pa.Table) -> pa.Table:
-        _, flat, rows = _line_arrays(batch, text_col)
-        codes, h1, h2, dic = _encode_lines2(flat)
-        # length filter evaluated once per DISTINCT line, not per line
-        long_enough = pc.greater_equal(pc.utf8_length(dic), min_len) \
+
+def _count_partial(batch: pa.Table, *, text_col: str,
+                   min_len: int) -> pa.Table:
+    _, flat, rows = _line_arrays(batch, text_col)
+    codes, h1, h2, dic = _encode_lines2(flat)
+    # length filter evaluated once per DISTINCT line, not per line
+    long_enough = pc.greater_equal(pc.utf8_length(dic), min_len) \
+        .to_numpy(zero_copy_only=False)
+    m = long_enough[codes] if len(codes) else np.zeros(0, bool)
+    cs, n_docs = _doc_distinct_counts(codes[m], rows[m], len(dic))
+    return pa.table({
+        "h1": pa.array(h1[cs], pa.int64()),
+        "h2": pa.array(h2[cs], pa.int64()),
+        "n": pa.array(n_docs, pa.int64())})
+
+
+def _frequent_pairs(partials: pa.Table, *, min_docs: int) -> pa.Table:
+    # most lines are unique, so partials barely compress: the >= min_docs
+    # filter runs INSIDE the reduce so only frequent pairs leave it
+    if not partials.num_rows:
+        z = pa.array([], pa.int64())
+        return pa.table({"h1": z, "h2": z})
+    h1, h2 = _reduce_pair_counts(
+        partials.column("h1").to_numpy(),
+        partials.column("h2").to_numpy(),
+        partials.column("n").to_numpy(), min_docs)
+    return pa.table({"h1": h1, "h2": h2})
+
+
+def _clean(batch: pa.Table, freq: tuple, *, text_col: str, id_col: str,
+           min_len: int) -> pa.Table:
+    fa1, fa2 = freq  # lexsorted frequent (h1, h2) pairs
+    lines, flat, _ = _line_arrays(batch, text_col)
+    codes, h1, h2, dic = _encode_lines2(flat)
+    counts = _line_counts(lines)
+    # probe once per DISTINCT line (min_len re-check is free collision
+    # armour: frequent fingerprints only come from long-enough lines)
+    rm_dict = _probe_pairs(fa1, fa2, h1, h2)
+    if len(rm_dict):
+        rm_dict &= pc.greater_equal(pc.utf8_length(dic), min_len) \
             .to_numpy(zero_copy_only=False)
-        m = long_enough[codes] if len(codes) else np.zeros(0, bool)
-        cs, n_docs = _doc_distinct_counts(codes[m], rows[m], len(dic))
-        return pa.table({
-            "h1": pa.array(h1[cs], pa.int64()),
-            "h2": pa.array(h2[cs], pa.int64()),
-            "n": pa.array(n_docs, pa.int64())})
-
-    # Most corpus lines are unique, so per-batch partials barely
-    # compress; the >= min_docs filter runs INSIDE the reduce so only
-    # frequent pairs leave it.
-    def frequent_pairs(partials: pa.Table) -> pa.Table:
-        if not partials.num_rows:
-            z = pa.array([], pa.int64())
-            return pa.table({"h1": z, "h2": z})
-        h1, h2 = _reduce_pair_counts(
-            partials.column("h1").to_numpy(),
-            partials.column("h2").to_numpy(),
-            partials.column("n").to_numpy(), min_docs)
-        return pa.table({"h1": h1, "h2": h2})
-
-    freq_ref, rows = reduce_partials(
-        ds.map_batches(count_partial, batch_format="pyarrow"),
-        frequent_pairs, key="h1", what="remove_boilerplate_lines")
-
-    def clean(batch: pa.Table) -> pa.Table:
-        fa1, fa2 = ray.get(freq_ref)
-        lines, flat, _ = _line_arrays(batch, text_col)
-        codes, h1, h2, dic = _encode_lines2(flat)
-        counts = _line_counts(lines)
-        # probe once per DISTINCT line (min_len re-check is free
-        # collision armour: frequent fingerprints only come from
-        # long-enough lines)
-        rm_dict = _probe_pairs(fa1, fa2, h1, h2)
-        if len(rm_dict):
-            rm_dict &= pc.greater_equal(pc.utf8_length(dic), min_len) \
-                .to_numpy(zero_copy_only=False)
-        rm = rm_dict[codes] if len(codes) else np.zeros(0, bool)
-        kept = flat.filter(pa.array(~rm))
-        # removed-per-row via cumulative count of removals at row edges
-        ends = np.cumsum(counts)
-        rm_cum = np.concatenate(([0], np.cumsum(rm.astype(np.int64))))
-        removed = rm_cum[ends] - rm_cum[ends - counts]
-        new_counts = counts - removed
-        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(new_counts, out=offsets[1:])
-        lst = pa.LargeListArray.from_arrays(
-            pa.array(offsets, pa.int64()), kept,
-            mask=lines.is_null() if lines.null_count else None)
-        joined = pc.binary_join(lst, pa.scalar("\n", kept.type))
-        return pa.table({
-            id_col: batch.column(id_col),
-            "text": joined.cast(pa.string()),
-            "n_removed": pa.array(removed, pa.int64()),
-        })
-
-    out = ds.map_batches(clean, batch_format="pyarrow")
-    if rows:
-        return out
-    # no long-enough line anywhere, or no rows: keep the output schema
-    # even when the input was empty
-    return out.union(empty_output(ds, clean, pa.schema(
-        [(id_col, pa.int64()), (text_col, pa.string())])))
+    rm = rm_dict[codes] if len(codes) else np.zeros(0, bool)
+    kept = flat.filter(pa.array(~rm))
+    # removed-per-row via cumulative count of removals at row edges
+    ends = np.cumsum(counts)
+    rm_cum = np.concatenate(([0], np.cumsum(rm.astype(np.int64))))
+    removed = rm_cum[ends] - rm_cum[ends - counts]
+    new_counts = counts - removed
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(new_counts, out=offsets[1:])
+    lst = pa.LargeListArray.from_arrays(
+        pa.array(offsets, pa.int64()), kept,
+        mask=lines.is_null() if lines.null_count else None)
+    joined = pc.binary_join(lst, pa.scalar("\n", kept.type))
+    return pa.table({
+        id_col: batch.column(id_col),
+        "text": joined.cast(pa.string()),
+        "n_removed": pa.array(removed, pa.int64()),
+    })

@@ -17,6 +17,8 @@ min-id combine and one keyed reduce of the partials
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -28,24 +30,19 @@ from dqm_ray.partitioning import num_parts as _auto_parts
 # ---------------------------------------------------------------------------
 
 
-def add_text_hash(batch: pa.Table, *, text_col: str = "text",
-                  out_col: str = "text_hash") -> pa.Table:
-    h = pd.util.hash_array(
-        batch.column(text_col).to_numpy(zero_copy_only=False))
-    return batch.append_column(out_col, pa.array(h, pa.uint64()))
-
-
 def exact_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     """First-wins exact dedup: one row per distinct text, winner = min id.
 
-    Shape (content never enters a shuffle, no per-group Python):
-    1. one content pass emits compact (id, sha256) rows, combined per
-       batch to one (min id, sha256) row per distinct text;
+    Shape (content never enters a shuffle, no per-group Python), on
+    plain Ray tasks over ``ds``'s blocks
+    (:func:`~dqm_ray.state.reduce.keyed_reduce_map`):
+    1. one content pass emits compact (id, binary sha256) rows, combined
+       per block to one (min id, sha256) row per distinct text;
     2. :func:`~dqm_ray.state.reduce.reduce_partials` takes the min id
        per sha256 in K sha-keyed parts of plain Ray tasks and leaves the
        sorted winner ids (8 B per DISTINCT text) in the object store —
        no shuffle, nothing collected on the driver;
-    3. every batch of the original dataset keeps the rows whose id is
+    3. every block of the original dataset keeps the rows whose id is
        in the winner array (searchsorted in place).
 
     sha256 as the equality key makes hash-equal ≡ text-equal for any
@@ -54,45 +51,44 @@ def exact_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     null text is a text of its own: the min id of the null-text docs
     wins. An empty input returns 0 rows with the input's schema.
     Scale bound: the winner array lives in the object store, 8 B x
-    distinct docs, and every batch reads it zero-copy; past ~10^10
+    distinct docs, and every block reads it zero-copy; past ~10^10
     distinct docs swap step 3 for an id-keyed shuffle join of winners
     against the corpus (one content shuffle) or a sorted-parquet merge.
     """
-    import ray
+    from dqm_ray.state.reduce import keyed_reduce_map
 
-    from dqm_ray.state.reduce import (empty_output, reduce_partials,
-                                      sorted_member)
+    return keyed_reduce_map(
+        ds, functools.partial(_sha_min_ids, text_col=text_col,
+                              id_col=id_col),
+        functools.partial(_min_id_per_sha, id_col=id_col),
+        functools.partial(_keep_ids, col=id_col), key="__sha",
+        what="exact_dedup",
+        fallback=pa.schema([(id_col, pa.int64()), (text_col, pa.string())]))
 
-    def key_batch(batch: pa.Table) -> pa.Table:
-        from dqm_ray.stages.lineage import sha256_column
 
-        sha = sha256_column(batch.column(text_col).combine_chunks())
-        # map-side combine: one (min id, sha) row per distinct text
-        mins = pa.table({id_col: batch.column(id_col), "__sha": sha}) \
-            .group_by("__sha").aggregate([(id_col, "min")])
-        return pa.table({id_col: mins.column(f"{id_col}_min"),
-                         "__sha": mins.column("__sha")})
+def _sha_min_ids(batch: pa.Table, *, text_col: str,
+                 id_col: str) -> pa.Table:
+    from dqm_ray.stages.lineage import sha256_digests
 
-    def min_id_per_sha(partials: pa.Table) -> pa.Table:
-        if not partials.num_rows:
-            return pa.table({"w": pa.array([], pa.int64())})
-        mins = partials.group_by("__sha").aggregate([(id_col, "min")])
-        return pa.table({"w": mins.column(f"{id_col}_min")
-                         .cast(pa.int64())})
+    sha = sha256_digests(batch.column(text_col).combine_chunks())
+    mins = pa.table({id_col: batch.column(id_col), "__sha": sha}) \
+        .group_by("__sha").aggregate([(id_col, "min")])
+    return pa.table({id_col: mins.column(f"{id_col}_min"),
+                     "__sha": mins.column("__sha")})
 
-    ref, rows = reduce_partials(
-        ds.map_batches(key_batch, batch_format="pyarrow"), min_id_per_sha,
-        key="__sha", what="exact_dedup")
 
-    def keep_winners(batch: pa.Table) -> pa.Table:
-        w, = ray.get(ref)
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(sorted_member(w, ids)))
+def _min_id_per_sha(partials: pa.Table, *, id_col: str) -> pa.Table:
+    if not partials.num_rows:
+        return pa.table({"w": pa.array([], pa.int64())})
+    mins = partials.group_by("__sha").aggregate([(id_col, "min")])
+    return pa.table({"w": mins.column(f"{id_col}_min").cast(pa.int64())})
 
-    if not rows:
-        return empty_output(ds, keep_winners, pa.schema(
-            [(id_col, pa.int64()), (text_col, pa.string())]))
-    return ds.map_batches(keep_winners, batch_format="pyarrow")
+
+def _keep_ids(batch: pa.Table, value: tuple, *, col: str) -> pa.Table:
+    from dqm_ray.state.reduce import sorted_member
+
+    vals = batch.column(col).to_numpy(zero_copy_only=False)
+    return batch.filter(pa.array(sorted_member(value[0], vals)))
 
 
 def pack_positions(ids: np.ndarray, pos: np.ndarray,
@@ -399,62 +395,36 @@ def _explode_bands(batch: pa.Table, *, id_col: str,
 
 def keep_multi_member_buckets(ds, key: str):
     """Anti-singleton filter: keep the rows whose ``key`` occurs in more
-    than one row. Per-batch (key, count) partials are summed by
+    than one row. Per-block (key, count) partials are summed by
     :func:`~dqm_ray.state.reduce.reduce_partials` and the sorted
-    multi-member keys stay in the object store for the filter pass.
+    multi-member keys stay in the object store for the filter tasks.
     This is what makes bucket-grouped pair extraction scale — at
     realistic dup rates almost every bucket is a singleton and never
     reaches the (per-group Python) pair stage."""
-    import ray
+    from dqm_ray.state.reduce import keyed_reduce_map
 
-    from dqm_ray.state.reduce import (empty_output, reduce_partials,
-                                      sorted_member)
-
-    # count on the key column alone: the partials hold 16 B per distinct
-    # key per batch even when the input rows are wide (e.g. ride-along
-    # signatures)
-    def count_keys(batch: pa.Table) -> pa.Table:
-        keys, n = np.unique(batch.column(key).to_numpy(),
-                            return_counts=True)
-        return pa.table({key: pa.array(keys), "n": pa.array(n, pa.int64())})
-
-    def multi_member(partials: pa.Table) -> pa.Table:
-        if not partials.num_rows:
-            return pa.table({key: pa.array([], pa.int64())})
-        import pyarrow.compute as pc
-
-        tot = partials.group_by(key).aggregate([("n", "sum")])
-        return tot.filter(pc.greater(tot["n_sum"], 1)).select([key])
-
-    ref, rows = reduce_partials(
-        ds.map_batches(count_keys, batch_format="pyarrow"), multi_member,
-        key=key, what="keep_multi_member_buckets")
-
-    def flt(batch: pa.Table) -> pa.Table:
-        hot, = ray.get(ref)
-        vals = batch.column(key).to_numpy(zero_copy_only=False)
-        return batch.filter(pa.array(sorted_member(hot, vals)))
-
-    if not rows:
-        return empty_output(ds, flt, pa.schema([(key, pa.int64())]))
-    return ds.map_batches(flt, batch_format="pyarrow")
+    return keyed_reduce_map(
+        ds, functools.partial(_count_keys, key=key),
+        functools.partial(_multi_member, key=key),
+        functools.partial(_keep_ids, col=key), key=key,
+        what="keep_multi_member_buckets",
+        fallback=pa.schema([(key, pa.int64())]))
 
 
-def _pairs_from_groups(group: pd.DataFrame, id_col: str) -> pd.DataFrame:
-    """Candidate pairs within one bucket, with signature-estimated
-    Jaccard.
+def _count_keys(batch: pa.Table, *, key: str) -> pa.Table:
+    # count on the key column alone: 16 B per distinct key per block
+    # even when the input rows are wide (e.g. ride-along signatures)
+    keys, n = np.unique(batch.column(key).to_numpy(), return_counts=True)
+    return pa.table({key: pa.array(keys), "n": pa.array(n, pa.int64())})
 
-    Docs with IDENTICAL signatures (exact/near-exact dups — the common
-    case in a big bucket) are collapsed: a star to the group's min id
-    (est 1.0) plus all-pairs among the unique-signature representatives.
-    Connected components over this sparser pair set are exactly those of
-    the full O(m^2) clique (any member reaches other groups through its
-    representative, whose signature — hence estimate — is identical), so
-    a 10k-copy bucket emits ~10k pairs instead of ~50M."""
-    g = group.drop_duplicates(subset=[id_col]).sort_values(id_col)
-    a, b, e = _bucket_pairs(g[id_col].to_numpy(),
-                            np.stack(g["sig"].to_numpy()))
-    return pd.DataFrame({"id_a": a, "id_b": b, "est_jaccard": e})
+
+def _multi_member(partials: pa.Table, *, key: str) -> pa.Table:
+    if not partials.num_rows:
+        return pa.table({key: pa.array([], pa.int64())})
+    import pyarrow.compute as pc
+
+    tot = partials.group_by(key).aggregate([("n", "sum")])
+    return tot.filter(pc.greater(tot["n_sum"], 1)).select([key])
 
 
 def _bucket_pairs(ids: np.ndarray, sigs: np.ndarray):
@@ -626,8 +596,6 @@ def minhash_lsh_dedup(ds, *, id_col: str = "doc_id", text_col: str = "text",
     Returns (dup_table, pairs): dup_table maps id → group representative
     (min id of its component); only ids in some near-dup component appear.
     """
-    import functools
-
     import ray
 
     # elastic task pool with a per-worker-process stage cache (the same
@@ -923,8 +891,6 @@ def simhash_candidates(ds, *, id_col: str = "doc_id", text_col: str = "text",
     """Simhash near-dup candidates via 4-block banding (any pair within
     Hamming ≤ 3 of a 64-bit hash shares at least one identical 16-bit
     block — pigeonhole). Returns pandas pairs with exact Hamming."""
-    import functools
-
     sh = ds.map_batches(functools.partial(simhash_batch, text_col=text_col),
                         batch_format="pyarrow")
     sh = sh.select_columns([id_col, "simhash"])

@@ -8,11 +8,12 @@ is REMOVED iff an identical paragraph occurred at a smaller global
 ``(doc_id, para_idx)`` position. Paragraphs shorter than
 ``min_dedup_chars`` (default 1 — empties) never participate. Cleaned
 text re-joins kept paragraphs with ``sep``; every input doc appears in
-the output (possibly with empty text).
+the output (possibly with empty text; a null text has no paragraphs and
+stays null).
 
 Scale shape — content never enters a shuffle:
 
-1. signature pass: per batch, split + two independent 64-bit hashes
+1. signature pass: per block, split + two independent 64-bit hashes
    per paragraph (128-bit combined — collision odds ~2^-128 per pair,
    documented trade for keeping text out of the shuffle) + packed
    position ``doc_id * 2^20 + para_idx``; the partials are only
@@ -34,6 +35,8 @@ functions/dedup.py).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pandas as pd
@@ -63,76 +66,76 @@ def dedup_paragraphs(ds, *, text_col: str = "text",
                      min_dedup_chars: int = 1):
     """Remove globally-duplicate paragraphs, first occurrence wins.
 
-    Returns a Dataset with (id_col, text, n_kept, n_dropped); an empty
+    Returns a Dataset with (id_col, text, n_kept, n_dropped); a null
+    text stays null with ``n_kept`` and ``n_dropped`` 0, and an empty
     input returns 0 rows with that schema."""
-    import ray
+    from dqm_ray.state.reduce import keyed_reduce_map
 
+    return keyed_reduce_map(
+        ds, functools.partial(_signatures, text_col=text_col, id_col=id_col,
+                              sep=sep, min_dedup_chars=min_dedup_chars),
+        _first_positions,
+        functools.partial(_clean, text_col=text_col, id_col=id_col,
+                          sep=sep, min_dedup_chars=min_dedup_chars),
+        key="h1", what="dedup_paragraphs",
+        fallback=pa.schema([(id_col, pa.int64()), (text_col, pa.string())]))
+
+
+def _signatures(batch: pa.Table, *, text_col: str, id_col: str, sep: str,
+                min_dedup_chars: int) -> pa.Table:
     from dqm_ray.functions.dedup import pack_positions
-    from dqm_ray.state.reduce import (empty_output, reduce_partials,
-                                      sorted_member)
 
-    def signatures(batch: pa.Table) -> pa.Table:
-        parent, flat, idx = _split_paragraphs(batch, text_col, sep)
-        lens = pc.utf8_length(flat).to_numpy(zero_copy_only=False)
-        sel = lens >= min_dedup_chars
-        flat_np = flat.to_numpy(zero_copy_only=False)[sel]
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)[parent[sel]]
-        h1 = pd.util.hash_array(flat_np, hash_key=_H1_KEY,
-                                categorize=False).view(np.int64)
-        h2 = pd.util.hash_array(flat_np, hash_key=_H2_KEY,
-                                categorize=False).view(np.int64)
-        return pa.table({"h1": pa.array(h1, pa.int64()),
-                         "h2": pa.array(h2, pa.int64()),
-                         "packed": pa.array(
-                             pack_positions(ids, idx[sel], POS_BITS),
-                             pa.int64())})
+    parent, flat, idx = _split_paragraphs(batch, text_col, sep)
+    lens = pc.utf8_length(flat).to_numpy(zero_copy_only=False)
+    sel = lens >= min_dedup_chars
+    flat_np = flat.to_numpy(zero_copy_only=False)[sel]
+    ids = batch.column(id_col).to_numpy(zero_copy_only=False) \
+        .astype(np.int64)[parent[sel]]
+    h1 = pd.util.hash_array(flat_np, hash_key=_H1_KEY,
+                            categorize=False).view(np.int64)
+    h2 = pd.util.hash_array(flat_np, hash_key=_H2_KEY,
+                            categorize=False).view(np.int64)
+    return pa.table({"h1": pa.array(h1, pa.int64()),
+                     "h2": pa.array(h2, pa.int64()),
+                     "packed": pa.array(
+                         pack_positions(ids, idx[sel], POS_BITS),
+                         pa.int64())})
 
-    def first_positions(partials: pa.Table) -> pa.Table:
-        if not partials.num_rows:
-            return pa.table({"packed": pa.array([], pa.int64())})
-        mins = partials.group_by(["h1", "h2"]) \
-            .aggregate([("packed", "min")])
-        return pa.table({"packed": mins.column("packed_min")})
 
-    ref, rows = reduce_partials(
-        ds.map_batches(signatures, batch_format="pyarrow", num_cpus=1),
-        first_positions, key="h1", what="dedup_paragraphs")
+def _first_positions(partials: pa.Table) -> pa.Table:
+    if not partials.num_rows:
+        return pa.table({"packed": pa.array([], pa.int64())})
+    mins = partials.group_by(["h1", "h2"]).aggregate([("packed", "min")])
+    return pa.table({"packed": mins.column("packed_min")})
 
-    def clean(batch: pa.Table) -> pa.Table:
-        parent, flat, idx = _split_paragraphs(batch, text_col, sep)
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        n = len(batch)
-        if len(parent):
-            w, = ray.get(ref)
-            lens = pc.utf8_length(flat).to_numpy(zero_copy_only=False)
-            keep = (lens < min_dedup_chars) | sorted_member(
-                w, pack_positions(ids[parent], idx, POS_BITS))
-        else:
-            keep = np.empty(0, bool)
-        # rebuild a ListArray of kept paragraphs per row, then one
-        # Arrow binary_join — no per-row Python
-        kept_counts = np.bincount(parent[keep], minlength=n)
-        all_counts = np.bincount(parent, minlength=n)
-        offsets = np.r_[0, np.cumsum(kept_counts)].astype(np.int32)
-        kept_lists = pa.ListArray.from_arrays(
-            pa.array(offsets, pa.int32()),
-            flat.filter(pa.array(keep)))
-        texts = pc.binary_join(kept_lists, sep)
-        # preserve every input column (text replaced in place) so the
-        # op composes inside larger pipelines
-        out = batch.set_column(batch.schema.get_field_index(text_col),
-                               text_col, texts)
-        return out.append_column(
-            "n_kept", pa.array(kept_counts, pa.int64())) \
-            .append_column("n_dropped",
-                           pa.array(all_counts - kept_counts, pa.int64()))
 
-    out = ds.map_batches(clean, batch_format="pyarrow", num_cpus=1)
-    if rows:
-        return out
-    # no paragraph long enough anywhere, or no rows: keep the output
-    # schema even when the input was empty
-    return out.union(empty_output(ds, clean, pa.schema(
-        [(id_col, pa.int64()), (text_col, pa.string())])))
+def _clean(batch: pa.Table, winners: tuple, *, text_col: str, id_col: str,
+           sep: str, min_dedup_chars: int) -> pa.Table:
+    from dqm_ray.functions.dedup import pack_positions
+    from dqm_ray.state.reduce import sorted_member
+
+    parent, flat, idx = _split_paragraphs(batch, text_col, sep)
+    ids = batch.column(id_col).to_numpy(zero_copy_only=False) \
+        .astype(np.int64)
+    n = len(batch)
+    lens = pc.utf8_length(flat).to_numpy(zero_copy_only=False)
+    keep = (lens < min_dedup_chars) | sorted_member(
+        winners[0], pack_positions(ids[parent], idx, POS_BITS))
+    # rebuild a ListArray of kept paragraphs per row, then one Arrow
+    # binary_join — no per-row Python; a null text stays null
+    kept_counts = np.bincount(parent[keep], minlength=n)
+    all_counts = np.bincount(parent, minlength=n)
+    offsets = np.r_[0, np.cumsum(kept_counts)].astype(np.int32)
+    text = batch.column(text_col)
+    kept_lists = pa.ListArray.from_arrays(
+        pa.array(offsets, pa.int32()), flat.filter(pa.array(keep)),
+        mask=text.is_null().combine_chunks() if text.null_count else None)
+    texts = pc.binary_join(kept_lists, sep)
+    # preserve every input column (text replaced in place) so the op
+    # composes inside larger pipelines
+    out = batch.set_column(batch.schema.get_field_index(text_col),
+                           text_col, texts)
+    return out.append_column(
+        "n_kept", pa.array(kept_counts, pa.int64())) \
+        .append_column("n_dropped",
+                       pa.array(all_counts - kept_counts, pa.int64()))

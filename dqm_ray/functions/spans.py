@@ -37,8 +37,11 @@ corpus-global version of in-place payload normalization.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 DEFAULT_SPAN_K = 20
 POS_BITS = 32  # max 2^32 bytes per doc (packed-position radix)
@@ -52,10 +55,10 @@ def _apply_cuts(text: pa.Array, rows: np.ndarray, locs: np.ndarray,
     from dqm_ray.stages.rules import string_buffer_view
 
     view = string_buffer_view(text)
-    if view is None:  # nulls: normalize to '' then re-view
-        text = pa.array([(t or "") for t in text.to_pylist()],
-                        pa.large_string())
-        view = string_buffer_view(text)
+    if view is None and text.null_count:  # cut as '', keep the nulls
+        cleaned, removed = _apply_cuts(text.fill_null(""), rows, locs, k)
+        return pc.if_else(text.is_valid(), cleaned,
+                          pa.scalar(None, cleaned.type)), removed
     if view is None:  # no rows, or not one byte: nothing to cut
         return text, np.zeros(len(text), np.int64)
     data, offs = view
@@ -105,55 +108,60 @@ def dedup_spans(ds, *, id_col: str = "doc_id", text_col: str = "text",
                 k: int = DEFAULT_SPAN_K, batch_size: int = 512):
     """Returns (id_col, text, n_cut): every doc with globally-repeated
     k-spans deleted (winner occurrence kept), and the cut byte count.
-    An empty input returns 0 rows with that schema."""
-    import ray
+    A null text stays null with ``n_cut`` 0; an empty input returns 0
+    rows with that schema. The cut runs ``batch_size`` rows at a time
+    within each block."""
+    from dqm_ray.state.reduce import keyed_reduce_map
 
-    from dqm_ray.state.reduce import empty_output, reduce_partials
+    return keyed_reduce_map(
+        ds, functools.partial(_anchor_partial, id_col=id_col,
+                              text_col=text_col, k=k),
+        _first_anchor,
+        functools.partial(_cut, id_col=id_col, text_col=text_col, k=k,
+                          batch_size=batch_size),
+        key="gram", what="dedup_spans",
+        fallback=pa.schema([(id_col, pa.int64()), (text_col, pa.string())]))
 
-    def anchor_partial(batch: pa.Table) -> pa.Table:
-        _, grams, _, local, packed, valid = _gram_positions(
-            batch, id_col, text_col, k)
-        m = valid & (local % k == 0)
-        return pa.table({
-            "gram": pa.array(grams[m].view(np.int64), pa.int64()),
-            "packed": pa.array(packed[m], pa.int64()),
-        })
 
-    def first_anchor(partials: pa.Table) -> pa.Table:
-        if not partials.num_rows:
-            z = pa.array([], pa.int64())
-            return pa.table({"gram": z, "w": z})
-        mins = partials.group_by("gram").aggregate([("packed", "min")])
-        return pa.table({"gram": mins.column("gram"),
-                         "w": mins.column("packed_min")})
+def _anchor_partial(batch: pa.Table, *, id_col: str, text_col: str,
+                    k: int) -> pa.Table:
+    _, grams, _, local, packed, valid = _gram_positions(
+        batch, id_col, text_col, k)
+    m = valid & (local % k == 0)
+    return pa.table({
+        "gram": pa.array(grams[m].view(np.int64), pa.int64()),
+        "packed": pa.array(packed[m], pa.int64()),
+    })
 
-    win_ref, rows = reduce_partials(
-        ds.map_batches(anchor_partial, batch_format="pyarrow", num_cpus=1),
-        first_anchor, key="gram", what="dedup_spans")
 
-    def cut(batch: pa.Table) -> pa.Table:
+def _first_anchor(partials: pa.Table) -> pa.Table:
+    if not partials.num_rows:
+        z = pa.array([], pa.int64())
+        return pa.table({"gram": z, "w": z})
+    mins = partials.group_by("gram").aggregate([("packed", "min")])
+    return pa.table({"gram": mins.column("gram"),
+                     "w": mins.column("packed_min")})
+
+
+def _cut(block: pa.Table, winners: tuple, *, id_col: str, text_col: str,
+         k: int, batch_size: int) -> pa.Table:
+    gs, ws = winners  # sorted grams, their min packed positions
+    out = []
+    # one slice even at 0 rows: the empty-input path needs the schema
+    for start in range(0, max(block.num_rows, 1), batch_size):
+        batch = block.slice(start, batch_size)
         text, grams, doc_idx, local, packed, valid = _gram_positions(
             batch, id_col, text_col, k)
         g = grams.view(np.int64)
         flag = np.zeros(len(g), bool)
-        if len(g):
-            gs, ws = ray.get(win_ref)
-            if len(gs):
-                pos = np.minimum(np.searchsorted(gs, g), len(gs) - 1)
-                flag = (gs[pos] == g) & (ws[pos] < packed) & valid
-        cleaned, removed = _apply_cuts(text, doc_idx[flag],
-                                       local[flag], k)
-        # preserve every input column (text replaced in place) so the
-        # op composes inside larger pipelines (the paragraphs contract)
-        out = batch.set_column(batch.schema.get_field_index(text_col),
-                               text_col, cleaned.cast(pa.string()))
-        return out.append_column("n_cut", pa.array(removed, pa.int64()))
-
-    out = ds.map_batches(cut, batch_format="pyarrow",
-                         batch_size=batch_size, num_cpus=1)
-    if rows:
-        return out
-    # every doc shorter than k, or no rows: keep the output schema even
-    # when the input was empty
-    return out.union(empty_output(ds, cut, pa.schema(
-        [(id_col, pa.int64()), (text_col, pa.string())])))
+        if len(g) and len(gs):
+            pos = np.minimum(np.searchsorted(gs, g), len(gs) - 1)
+            flag = (gs[pos] == g) & (ws[pos] < packed) & valid
+        cleaned, removed = _apply_cuts(text, doc_idx[flag], local[flag], k)
+        # preserve every input column (text replaced in place) so the op
+        # composes inside larger pipelines (the paragraphs contract)
+        out.append(batch.set_column(
+            batch.schema.get_field_index(text_col), text_col,
+            cleaned.cast(pa.string()))
+            .append_column("n_cut", pa.array(removed, pa.int64())))
+    return pa.concat_tables(out)

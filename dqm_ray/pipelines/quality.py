@@ -40,6 +40,7 @@ from dqm_ray.stages.lineage import lineage_batch
 from dqm_ray.stages.rules import add_partition_id, heuristic_rules_batch
 from dqm_ray.stages.scorer import ScorerStage
 from dqm_ray.stages.scrub import scrub_batch
+from dqm_ray.state.tasks import wait_all
 
 
 def _multirange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -306,24 +307,12 @@ def run_quality_filewise(input_paths: list[str], out_dir: str,
         os.path.join(data_dir, _shard_name(p) + ".parquet"))]
     if not pending:
         return STATS_SCHEMA.empty_table()
-    refs = [_shard_task.remote(
+    return pa.concat_tables(wait_all([_shard_task.remote(
         pa.table({"path": [p]}), out_dir=data_dir,
         metrics_dir=(os.path.join(out_dir, "metrics")
                      if write_metrics else None),
         cfg=cfg, ref_sha_column=ref_sha_column,
-        alert_dir=os.path.join(out_dir, "alerts")) for p in pending]
-    todo = refs
-    try:
-        while todo:
-            # blocks until a task ends: the driver takes no CPU meanwhile
-            done, todo = ray.wait(todo, num_returns=1)
-            ray.get(done)  # a failed shard raises here
-    finally:
-        if todo:  # a shard failed or the wait was interrupted
-            for ref in todo:
-                ray.cancel(ref)
-            ray.wait(todo, num_returns=len(todo))
-    return pa.concat_tables(ray.get(refs))
+        alert_dir=os.path.join(out_dir, "alerts")) for p in pending]))
 
 
 def _with_stage_ms(partial: pa.Table, total_ms: float) -> pa.Table:

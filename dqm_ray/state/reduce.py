@@ -1,14 +1,16 @@
-"""Keyed reduce of compact partials — the one reduce of the dedup family.
+"""Keyed reduce of compact partials — the one reduce of the dedup family
+— and :func:`keyed_reduce_map`, which runs such an op on plain Ray tasks
+over the input's block refs: ``Dataset`` in and out, no Ray Data
+execution (its executor polls at 0.1 s; a shuffle costs ~1 s on one CPU
+however few rows it moves) and no driver collect inside.
 
-A Ray Data shuffle has a fixed scheduling cost (~1 s on one CPU)
-however few rows it moves, and a driver collect puts corpus-cardinality
-data on one process. Instead the partials — per-batch combined counters
-or winner keys, never content — are reduced by plain Ray tasks, the way
-the reference reduces each window's statistics inside one worker and
-ships only the result (plugins/DQMProcessor.cpp:541-556).
-
-One path, split into K hash parts. K is the smallest power of two that
-keeps ``partial_bytes / K`` at or under ``SMALL_REDUCE_BYTES``:
+Per block one task emits compact partials — combined counters or winner
+keys, never content — and their ``(rows, bytes)``; plain Ray tasks
+reduce them, the way the reference reduces each window inside one
+worker and ships only the result (plugins/DQMProcessor.cpp:541-556);
+then one task per block filters or rewrites it against the reduced
+value. The reduce is split into K hash parts, K the smallest power of
+two that keeps ``partial_bytes / K`` at or under ``SMALL_REDUCE_BYTES``:
 
 - K = 1: one task concatenates every partial block and reduces it;
 - K > 1: one split task per partial block cuts it into K parts by its
@@ -16,11 +18,9 @@ keeps ``partial_bytes / K`` at or under ``SMALL_REDUCE_BYTES``:
   the K results.
 
 Either way the value — the result columns as numpy arrays, sorted by
-all of them — stays in the object store; map stages read it by
-``ray.get`` inside their workers. No Ray Data ``groupby`` runs and
-nothing reaches the driver. The bound left is the combined value
-itself, which every map task reads whole: its size is the caller's
-(winner ids, frequent lines), not K's.
+all of them — stays in the object store and the keep tasks take it as
+an argument. The bound left is that value, which every keep task reads
+whole: its size is the caller's (winner ids, frequent lines), not K's.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-# Partial bytes (Ray block metadata) one reduce task takes at most.
+from dqm_ray.state.tasks import wait_all
+
+# Partial bytes (the map tasks' table nbytes) one reduce task takes at most.
 # Set by the task's memory, which reserves none: it concatenates and
 # then sorts or hashes its partials, so its private RSS grows by 2.3x
 # (exact_dedup) to 2.9x (boilerplate) the partial bytes. Its peak VmRSS
@@ -112,10 +114,12 @@ def _combine(*parts: pa.Table):
     return None, _sorted(pa.concat_tables(parts))
 
 
-def reduce_partials(partials, reduce: Callable[[pa.Table], pa.Table], *,
+def reduce_partials(partials: list, meta: list,
+                    reduce: Callable[[pa.Table], pa.Table], *,
                     key: str, what: str):
-    """Reduce the compact dataset ``partials``; return ``(ref, rows)``:
-    a ref to the reduced columns and the number of partial rows.
+    """Reduce the partial blocks ``partials``, whose ``(rows, bytes)``
+    are ``meta``; return ``(ref, rows)``: a ref to the reduced columns
+    and the number of partial rows.
 
     ``reduce(table)`` takes partials that hold every row of each key it
     sees (0 rows for an empty input, then possibly with no columns) and
@@ -127,21 +131,19 @@ def reduce_partials(partials, reduce: Callable[[pa.Table], pa.Table], *,
     partial rows and the partial bytes are logged at INFO on the
     ``dqm_ray`` logger. A failed task raises here.
     """
-    partials = partials.materialize()
-    nbytes = partials.size_bytes() or 0  # None when there are 0 blocks
-    rows = partials.count()
+    rows = sum(r for r, _ in meta)
+    nbytes = sum(b for _, b in meta)
     k = 1
     while nbytes > k * SMALL_REDUCE_BYTES:
         k *= 2
     log.info("reduce_partials %s: k=%d partial_rows=%d partial_bytes=%d",
              what, k, rows, nbytes)
-    blocks = partials.to_arrow_refs()
     if k == 1:
-        done, value = _reduce_blocks.remote(reduce, *blocks)
+        done, value = _reduce_blocks.remote(reduce, *partials)
     else:
         bits = k.bit_length() - 1
         splits = [_split_block.options(num_returns=k).remote(b, key, bits)
-                  for b in blocks]
+                  for b in partials]
         done, value = _combine.remote(*[
             _reduce_part.remote(reduce, *[s[i] for s in splits])
             for i in range(k)])
@@ -149,30 +151,65 @@ def reduce_partials(partials, reduce: Callable[[pa.Table], pa.Table], *,
     return value, rows
 
 
-def empty_output(ds, fn: Callable[[pa.Table], pa.Table],
-                 fallback: pa.Schema):
-    """A 0-row Dataset with the schema ``fn`` gives ``ds``'s batches.
+@ray.remote(num_returns=2)
+def _partial_task(partial: Callable[[pa.Table], pa.Table],
+                  block: pa.Table):
+    # Ray Data calls no map function on a 0-row block (it may have no
+    # columns): its partial is a 0-row, 0-column table
+    out = partial(block) if block.num_rows else pa.table({})
+    return out, (out.num_rows, out.nbytes)
 
-    Ray Data calls no map function on an empty block, so a map over an
-    emptied input has no schema. This runs ``fn`` once on a 0-row table
-    of ``ds``'s schema, or of ``fallback`` when no block of ``ds`` has
-    one (a filter that kept no rows). A pandas-block column whose dtype
-    has no Arrow type (``object``) takes its type from ``fallback``, or
-    null when ``fallback`` does not name it."""
+
+@ray.remote
+def _keep_task(keep: Callable[[pa.Table, tuple], pa.Table],
+               block: pa.Table, value: tuple):
+    return keep(block, value) if block.num_rows else pa.table({})
+
+
+def keyed_reduce_map(ds, partial: Callable[[pa.Table], pa.Table],
+                     reduce: Callable[[pa.Table], pa.Table],
+                     keep: Callable[[pa.Table, tuple], pa.Table], *,
+                     key: str, what: str, fallback: pa.Schema):
+    """``keep(block, value)`` for every block of ``ds``, where ``value``
+    is :func:`reduce_partials` of ``partial(block)`` over all blocks;
+    returns the output Dataset (``rd.from_arrow_refs``, which waits for
+    the keep tasks). ``to_arrow_refs`` is O(1) on a materialized input;
+    a lazy input runs once and its blocks stay in the object store until
+    the keep tasks have read them. A 0-row block runs neither function.
+    When the partials have no rows the output also holds ``keep`` of a
+    0-row table of ``ds``'s schema (or ``fallback``, see
+    :func:`_empty_batch`), so an emptied input keeps the output schema.
+    A failed map task raises here as its original exception class, once
+    the other map tasks have ended."""
     import ray.data as rd
 
+    blocks = ds.to_arrow_refs()
+    pairs = [_partial_task.remote(partial, b) for b in blocks]
+    value, rows = reduce_partials(
+        [p for p, _ in pairs], wait_all([m for _, m in pairs]), reduce,
+        key=key, what=what)
+    out = [_keep_task.remote(keep, b, value) for b in blocks]
+    if not rows:
+        out.append(ray.put(keep(_empty_batch(ds, fallback),
+                                ray.get(value))))
+    return rd.from_arrow_refs(out)
+
+
+def _empty_batch(ds, fallback: pa.Schema) -> pa.Table:
+    """A 0-row table of ``ds``'s schema, or of ``fallback`` when no
+    block of ``ds`` has one (a filter that kept no rows). A pandas-block
+    column whose dtype has no Arrow type (``object``) takes its type
+    from ``fallback``, or null when ``fallback`` does not name it."""
     schema = ds.schema()
     if schema is None:
-        base = fallback
-    elif isinstance(schema.base_schema, pa.Schema):
-        base = schema.base_schema
-    else:
-        known = dict(zip(fallback.names, fallback.types))
-        base = pa.schema([
-            (name, t if isinstance(t, pa.DataType)
-             else known.get(name, pa.null()))
-            for name, t in zip(schema.names, schema.types)])
-    return rd.from_arrow(fn(base.empty_table()))
+        return fallback.empty_table()
+    if isinstance(schema.base_schema, pa.Schema):
+        return schema.base_schema.empty_table()
+    known = dict(zip(fallback.names, fallback.types))
+    return pa.schema([
+        (name, t if isinstance(t, pa.DataType)
+         else known.get(name, pa.null()))
+        for name, t in zip(schema.names, schema.types)]).empty_table()
 
 
 def sorted_member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:

@@ -123,13 +123,30 @@ def _boilerplate_twin(df: pd.DataFrame, min_len: int,
         .sort_values("doc_id").reset_index(drop=True)
 
 
+def _first_wins_twin(df: pd.DataFrame) -> pd.DataFrame:
+    """Naive twin of exact_dedup: the rows of the min doc_id per distinct
+    text, the null texts one group of their own. A Python set, not a
+    pandas groupby: pandas compares object keys as C strings, so texts
+    that differ only after a NUL ('' and '\\x00') would be one key."""
+    seen, winners = set(), []
+    for did, t in sorted(zip(df["doc_id"], df["text"]), key=lambda r: r[0]):
+        if t not in seen:
+            seen.add(t)
+            winners.append(did)
+    return df[df["doc_id"].isin(winners)]
+
+
 def _paragraphs_twin(df: pd.DataFrame, sep: str = "\n\n") -> pd.DataFrame:
     """Naive twin of dedup_paragraphs: a sequential seen-set over
     (doc_id, paragraph index) order; empty paragraphs never
-    participate."""
+    participate; a null text has no paragraphs and stays null."""
     seen = set()
     rows = []
-    for did, t in sorted(zip(df["doc_id"], df["text"])):
+    for did, t in sorted(zip(df["doc_id"], df["text"]),
+                         key=lambda r: r[0]):
+        if t is None:
+            rows.append((did, None, 0, 0))
+            continue
         kept, nd = [], 0
         for p in t.split(sep):
             if len(p) < 1:

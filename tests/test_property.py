@@ -240,3 +240,50 @@ def test_bloom_bits_match_duckdb_sql(members, probes):
     for j, key in enumerate(keys):
         for i in range(kh):
             assert got[j, i] == lookup[(int(key), i)]
+
+
+# lines at and around min_len = 10 characters, ASCII and multi-byte (a
+# 9-character line of 2-byte 'é' is 18 bytes: min_len counts characters)
+_LINES = st.one_of(
+    st.sampled_from(["", "short", "x" * 9, "x" * 10, "é" * 9, "é" * 10,
+                     "ü" * 11, "日本語のテキスト行", "日本語のテキスト行です",
+                     "shared banner line", "© 2024 all rights kept"]),
+    st.text(st.characters(blacklist_categories=("Cs",),
+                          blacklist_characters="\n"), max_size=14))
+_TEXTS = st.one_of(st.none(), st.just(""),
+                   st.lists(_LINES, max_size=12).map("\n".join))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_exact_then_boilerplate_on_blocks_match_twins(ray_session, data):
+    """exact_dedup -> remove_boilerplate_lines over an input cut into
+    blocks with 0-row blocks between them gives the naive twins' output:
+    null, empty, non-ASCII, many-line and duplicate-heavy docs."""
+    import pandas as pd
+    import ray.data as rd
+
+    from conftest import _boilerplate_twin, _first_wins_twin
+    from dqm_ray.functions.boilerplate import remove_boilerplate_lines
+    from dqm_ray.functions.dedup import exact_dedup
+
+    pool = data.draw(st.lists(_TEXTS, min_size=1, max_size=10))
+    texts = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                               max_size=40))
+    ids = data.draw(st.permutations(range(len(texts))))
+    t = pa.table({"doc_id": pa.array(np.array(ids) * 7 - 20, pa.int64()),
+                  "text": pa.array(texts, pa.string())})
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(texts)),
+                                     max_size=4)))
+    blocks = []
+    for lo, hi in zip([0] + cuts, cuts + [len(texts)]):
+        blocks += [t.slice(lo, hi - lo), t.slice(0, 0)]
+    min_docs = data.draw(st.integers(1, 3))
+
+    out = remove_boilerplate_lines(
+        exact_dedup(rd.from_arrow(blocks)), min_len=10,
+        min_docs=min_docs).to_pandas()
+    got = out.sort_values("doc_id").reset_index(drop=True)
+
+    pd.testing.assert_frame_equal(got, _boilerplate_twin(
+        _first_wins_twin(t.to_pandas()), 10, min_docs))

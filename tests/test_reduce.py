@@ -4,11 +4,13 @@ with no driver-side collect, and a reduce task that dies is retried or
 raises at the call site."""
 
 import os
+import time
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from conftest import _first_wins_twin
 
 SPAN_K = 10
 
@@ -117,13 +119,17 @@ def test_dedup_family_k_parity(ray_session, dup_docs, reduce_at_budget,
 
 
 def _partials():
-    import ray.data as rd
+    """Three partial blocks as ``reduce_partials`` takes them: their
+    refs and their ``(rows, bytes)``."""
+    import ray
 
     rng = np.random.default_rng(5)
-    return rd.from_arrow([
+    tables = [
         pa.table({"key": pa.array(rng.integers(0, 500, 2000), pa.int64()),
                   "n": pa.array(rng.integers(1, 4, 2000), pa.int64())})
-        for _ in range(3)]).materialize()
+        for _ in range(3)]
+    return ([ray.put(t) for t in tables],
+            [(t.num_rows, t.nbytes) for t in tables])
 
 
 def _reducers(marker: str = ""):
@@ -161,17 +167,18 @@ def test_reduce_task_worker_exit_is_retried(ray_session, reduce_at_budget,
 
     from dqm_ray.state.reduce import SMALL_REDUCE_BYTES, reduce_partials
 
-    partials = _partials()
+    partials, meta = _partials()
     sum_per_key, _, _ = _reducers()
-    keys, n = ray.get(reduce_partials(partials, sum_per_key, key="key",
-                                      what="clean")[0])
-    assert len(keys) == 500 and n.sum() == partials.sum("n")
-    nbytes = partials.size_bytes()
+    keys, n = ray.get(reduce_partials(partials, meta, sum_per_key,
+                                      key="key", what="clean")[0])
+    assert len(keys) == 500 and n.sum() == sum(
+        pa.compute.sum(t["n"]).as_py() for t in ray.get(partials))
+    nbytes = sum(b for _, b in meta)
     for budget, k in ((SMALL_REDUCE_BYTES, 1), (nbytes // 3, 4)):
         marker = str(tmp_path / f"exited-k{k}")
         _, exit_once, _ = _reducers(marker)
         (ref, rows), got_k, _, _ = reduce_at_budget(
-            budget, lambda: reduce_partials(partials, exit_once,
+            budget, lambda: reduce_partials(partials, meta, exit_once,
                                             key="key", what="flaky"),
             "flaky")
         assert got_k == k and rows == 6000 and os.path.exists(marker)
@@ -189,11 +196,139 @@ def test_reduce_task_failing_every_attempt_raises(ray_session,
 
     from dqm_ray.state.reduce import SMALL_REDUCE_BYTES, reduce_partials
 
-    partials = _partials()
+    partials, meta = _partials()
     _, _, exit_always = _reducers()
-    budget = SMALL_REDUCE_BYTES if k == 1 else partials.size_bytes() // 3
+    budget = (SMALL_REDUCE_BYTES if k == 1
+              else sum(b for _, b in meta) // 3)
     with pytest.raises(ray.exceptions.RayError):
         reduce_at_budget(
-            budget, lambda: reduce_partials(partials, exit_always,
+            budget, lambda: reduce_partials(partials, meta, exit_always,
                                             key="key", what="dying"),
             "dying")
+
+
+def test_exact_dedup_binary_key(ray_session, dup_docs, reduce_at_budget):
+    """exact_dedup's partials key on the 32-byte sha256: the logged
+    partial bytes are at least 35% under those of the same partials
+    keyed on the 64-char hex digest, and the output equals the
+    first-wins twin at K = 1 and K = 4, null-text group included."""
+    import ray.data as rd
+
+    from dqm_ray.functions.dedup import exact_dedup
+    from dqm_ray.stages.lineage import sha256_column
+    from dqm_ray.state.reduce import SMALL_REDUCE_BYTES
+
+    t = dup_docs(600, 0.5, seed=21)
+    texts = t.column("text").to_pylist()
+    for i in (0, 7, 300):
+        texts[i] = None
+    t = t.set_column(1, "text", pa.array(texts, pa.string()))
+    blocks = [t.slice(0, 250), t.slice(250, 250), t.slice(500)]
+    # the same per-block partials, keyed on the hex digest: one row per
+    # distinct text of a block either way
+    hex_bytes = sum(
+        pa.table({"doc_id": b["doc_id"],
+                  "__sha": sha256_column(b["text"].combine_chunks())})
+        .group_by("__sha").aggregate([("doc_id", "min")]).nbytes
+        for b in blocks)
+    run = lambda: exact_dedup(rd.from_arrow(blocks)).materialize()  # noqa
+    one, k1, nbytes, _ = reduce_at_budget(SMALL_REDUCE_BYTES, run,
+                                          "exact_dedup")
+    four, k4, _, _ = reduce_at_budget(nbytes // 3, run, "exact_dedup")
+    assert (k1, k4) == (1, 4)
+    assert nbytes <= 0.65 * hex_bytes, (nbytes, hex_bytes)
+    expected = _canon(_first_wins_twin(t.to_pandas()))
+    for out in (one, four):
+        pd.testing.assert_frame_equal(_canon(_collect(out)), expected)
+
+
+def test_wait_all_cancels_siblings_on_first_failure(ray_session, tmp_path):
+    """The shared wait loop: the first failed task raises as its original
+    class; the other tasks are cancelled and have ended when it
+    returns, so none of them writes its file."""
+    import ray
+
+    from dqm_ray.state.tasks import wait_all
+
+    @ray.remote
+    def sleepy(path):
+        # short sleeps: a cancel interrupts a task between bytecodes
+        for _ in range(3000):
+            time.sleep(0.01)
+        open(path, "w").close()
+
+    @ray.remote
+    def boom():
+        time.sleep(0.5)
+        raise KeyError("boom")
+
+    siblings = [sleepy.remote(str(tmp_path / f"s{i}")) for i in range(3)]
+    t0 = time.perf_counter()
+    with pytest.raises(KeyError):
+        wait_all(siblings + [boom.remote()])
+    assert time.perf_counter() - t0 < 20
+    ready, _ = ray.wait(siblings, num_returns=3, timeout=0)
+    assert len(ready) == 3
+    with pytest.raises(ray.exceptions.TaskCancelledError):
+        ray.get(siblings[0])
+    assert not list(tmp_path.iterdir())
+
+
+def test_exact_dedup_map_task_error_raises_at_call_site(
+        ray_session, dup_docs, monkeypatch):
+    """A map task of exact_dedup that raises (its block lacks the id
+    column) raises at the call as the original exception class, and
+    every map task of the call has ended by then."""
+    import ray
+    import ray.data as rd
+
+    import dqm_ray.state.reduce as reduce_mod
+    from dqm_ray.functions.dedup import exact_dedup
+
+    waited = []
+    real = reduce_mod.wait_all
+
+    def spy(refs):
+        waited.append(list(refs))
+        return real(refs)
+
+    monkeypatch.setattr(reduce_mod, "wait_all", spy)
+    t = dup_docs(4000, 0.3, seed=4)
+    bad = ray.put(t.slice(0, 10).drop_columns(["doc_id"]))
+    good = [ray.put(t.slice(i, 500)) for i in range(0, 4000, 500)]
+    with pytest.raises(KeyError):
+        exact_dedup(rd.from_arrow_refs([bad] + good))
+    refs, = waited
+    assert len(refs) == 9
+    ready, _ = ray.wait(refs, num_returns=len(refs), timeout=0)
+    assert len(ready) == len(refs)
+
+
+def test_map_task_worker_exit_is_retried(ray_session, dup_docs, tmp_path):
+    """A map task whose worker exits on its first attempt (marker file)
+    is retried by Ray: the op's output equals a clean run's."""
+    import functools
+
+    import ray.data as rd
+
+    from dqm_ray.functions.dedup import (_keep_ids, _min_id_per_sha,
+                                         _sha_min_ids)
+    from dqm_ray.state.reduce import keyed_reduce_map
+
+    marker = str(tmp_path / "exited")
+
+    def exit_once(batch: pa.Table) -> pa.Table:
+        if not os.path.exists(marker):
+            open(marker, "w").close()
+            os._exit(1)
+        return _sha_min_ids(batch, text_col="text", id_col="doc_id")
+
+    t = dup_docs(600, 0.5, seed=8)
+    ds = rd.from_arrow([t.slice(0, 300), t.slice(300)])
+    out = keyed_reduce_map(
+        ds, exit_once, functools.partial(_min_id_per_sha, id_col="doc_id"),
+        functools.partial(_keep_ids, col="doc_id"), key="__sha",
+        what="exact_dedup", fallback=t.schema)
+    assert os.path.exists(marker)
+    pd.testing.assert_frame_equal(_canon(_collect(out)),
+                                  _canon(_first_wins_twin(t.to_pandas())))

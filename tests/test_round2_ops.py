@@ -222,6 +222,7 @@ def test_boilerplate_null_text(ray_session, dup_docs, boilerplate_twin):
     """A null text is a doc with no lines: kept with text null and
     n_removed 0 — alone, beside other docs, and after exact_dedup (which
     keeps one null-text doc as a text of its own)."""
+    from conftest import _first_wins_twin
     from dqm_ray.functions.boilerplate import remove_boilerplate_lines
     from dqm_ray.functions.dedup import exact_dedup
 
@@ -245,8 +246,7 @@ def test_boilerplate_null_text(ray_session, dup_docs, boilerplate_twin):
     chain = remove_boilerplate_lines(exact_dedup(_ds(t)), min_len=10,
                                      min_docs=20).to_pandas() \
         .sort_values("doc_id").reset_index(drop=True)
-    key = df["text"].fillna("\0null")
-    winners = df[df["doc_id"].isin(df.groupby(key)["doc_id"].min())]
+    winners = _first_wins_twin(df)
     pd.testing.assert_frame_equal(chain,
                                   boilerplate_twin(winners, 10, 20))
     assert chain["text"].isna().sum() == 1
@@ -365,3 +365,52 @@ def test_rollup_levels_consistent(ray_session):
         assert mid.loc[rf, "n_lines"] == grp["n_lines"].sum()
     assert top["revenue_cents"].iloc[0] == leaf["revenue_cents"].sum()
     assert top["n_lines"].iloc[0] == leaf["n_lines"].sum()
+
+
+def test_dedup_family_null_text_contract(ray_session):
+    """One contract across the text ops of the dedup family and their
+    DuckDB oracles: a null text stays null with its counters 0, an empty
+    text stays '' — and through corpus_prep's normalize ->
+    dedup_paragraphs -> exact_dedup chain the null doc is not grouped
+    with the '' doc."""
+    from dqm_ray.functions.boilerplate import remove_boilerplate_lines
+    from dqm_ray.functions.dedup import exact_dedup
+    from dqm_ray.functions.paragraphs import dedup_paragraphs
+    from dqm_ray.functions.spans import dedup_spans
+    from dqm_ray.functions.text import normalize_text_batch
+
+    import duckdb
+
+    import __ray_entry__ as entry
+
+    rep = "some repeated text here ok"
+    t = pa.table({"doc_id": pa.array([1, 2, 3, 4], pa.int64()),
+                  "text": pa.array([None, "", rep, rep], pa.string())})
+    con = duckdb.connect()
+    con.register("documents", t)
+    for op, counters, oracle in (
+            (lambda ds: dedup_paragraphs(ds), ["n_kept", "n_dropped"],
+             entry._dedup_paragraphs_oracle_sql()),
+            (lambda ds: dedup_spans(ds, k=10), ["n_cut"],
+             entry._dedup_spans_oracle_sql(10)),
+            (lambda ds: remove_boilerplate_lines(ds, min_len=10,
+                                                 min_docs=2),
+             ["n_removed"], None)):
+        out = op(_ds(t)).to_pandas().sort_values("doc_id") \
+            .reset_index(drop=True)
+        assert out["text"][0] is None, counters
+        assert (out.loc[0, counters] == 0).all(), counters
+        assert out["text"][1] == "", counters
+        if oracle:  # the DuckDB oracle keeps the same contract
+            want = con.sql(oracle).df().sort_values("doc_id") \
+                .reset_index(drop=True)
+            assert want.values.tolist() == \
+                out[want.columns].values.tolist(), counters
+
+    chain = dedup_paragraphs(
+        _ds(t).map_batches(normalize_text_batch, batch_format="pyarrow")
+        .drop_columns(["n_chars_norm"]))
+    got = exact_dedup(chain.drop_columns(["n_kept", "n_dropped"])) \
+        .to_pandas().sort_values("doc_id")
+    assert got["doc_id"].tolist() == [1, 2, 3]
+    assert got["text"].tolist() == [None, "", rep]

@@ -8,7 +8,8 @@ It reduces synthetic partials with the schema each op's combine emits
 (generated inside Ray tasks in 64k-row blocks, so the driver holds none
 of them) through that op's own reduce function and key:
 
-- ``exact_dedup``: (doc_id, hex sha256), a third of the keys repeated;
+- ``exact_dedup``: (doc_id, 32-byte sha256), a third of the keys
+  repeated;
 - ``boilerplate``: (h1, h2, n), 2% of the pairs a shared pool.
 
 One JSON line per measurement. Run one op and one size per process for
@@ -89,11 +90,11 @@ def _gen_exact(batch):
         rng = np.random.default_rng(int(b))
         keys = rng.integers(0, 1 << 62, BLOCK_ROWS)
         keys[: BLOCK_ROWS // 3] %= 1 << 16
-        sha = [hashlib.sha256(int(k).to_bytes(8, "little")).hexdigest()
+        sha = [hashlib.sha256(int(k).to_bytes(8, "little")).digest()
                for k in keys]
         out.append(pa.table({
             "doc_id": pa.array(rng.integers(0, 1 << 40, BLOCK_ROWS)),
-            "__sha": pa.array(sha, pa.string())}))
+            "__sha": pa.array(sha, pa.binary(32))}))
     return pa.concat_tables(out)
 
 
@@ -112,6 +113,14 @@ def _gen_lines(batch):
     return pa.concat_tables(out)
 
 
+@ray.remote(num_returns=2)
+def _gen_block(gen, i: int):
+    """Partial block ``i`` and its (rows, bytes), as an op's map task
+    returns them."""
+    block = gen({"id": [i]})
+    return block, (block.num_rows, block.nbytes)
+
+
 def _reduce_fn(op: str):
     """The (reduce, key) pair ``op`` hands to ``reduce_partials``."""
     import ray.data as rd
@@ -121,9 +130,9 @@ def _reduce_fn(op: str):
     captured = {}
     real = reduce_mod.reduce_partials
 
-    def capture(partials, reduce, *, key, what):
+    def capture(partials, meta, reduce, *, key, what):
         captured.update(reduce=reduce, key=key)
-        return ray.put(None), 1
+        return real(partials, meta, reduce, key=key, what=what)
 
     tiny = rd.from_arrow(pa.table({"doc_id": pa.array([1]),
                                    "text": pa.array(["x"])}))
@@ -178,16 +187,17 @@ def main() -> None:
     try:
         for mib in (float(m) for m in args.mib.split(",")):
             nblocks = max(1, round(mib * (1 << 20) / row_bytes / BLOCK_ROWS))
-            parts = rd.range(nblocks, override_num_blocks=nblocks) \
-                .map_batches(gen, batch_size=1, batch_format="numpy") \
-                .materialize()
+            pairs = [_gen_block.remote(gen, i) for i in range(nblocks)]
+            parts = [p for p, _ in pairs]
+            meta = ray.get([m for _, m in pairs])
             for rep in range(args.reps):
                 rec = {"op": args.op,
-                       "mib": round(parts.size_bytes() / (1 << 20), 1),
-                       "rows": parts.count(), "rep": rep}
+                       "mib": round(sum(b for _, b in meta) / (1 << 20), 1),
+                       "rows": sum(r for r, _ in meta), "rep": rep}
                 with tempfile.TemporaryDirectory() as tmp:
                     t0 = time.perf_counter()
-                    value, _ = reduce_partials(parts, _sampled(reduce, tmp),
+                    value, _ = reduce_partials(parts, meta,
+                                               _sampled(reduce, tmp),
                                                key=key, what=args.op)
                     ray.wait([value], fetch_local=False)
                     rec["s"] = round(time.perf_counter() - t0, 3)
@@ -202,7 +212,7 @@ def main() -> None:
                     task_rows=sorted(t["rows"] for t in tasks))
                 print(json.dumps(rec), flush=True)
                 del value
-            del parts
+            del parts, pairs
     finally:
         ray.shutdown()
 
