@@ -2,12 +2,14 @@
 embedding-cosine near-dup.
 
 Scale shapes (SURVEY §4.2): the heavy step of every variant is ONE
-hash-keyed ``groupby`` over compact signature rows (ids + 64-bit
-hashes), never over content. Signatures are computed vectorized inside
-``map_batches``; candidate verification joins only candidate pairs;
-connected components run as iterative min-label propagation expressed
-with groupbys (driver union-find only when the candidate-pair set is
-provably small, which it is at any dup rate worth deduping).
+hash-keyed reduce over compact signature rows (ids + 64-bit hashes),
+never over content. Signatures are computed vectorized inside
+``map_batches``; exact, MinHash and SimHash then reduce on plain Ray
+tasks over the block refs (:mod:`dqm_ray.state.reduce`); only candidate
+band rows carry a MinHash signature; connected components run as
+iterative min-label propagation expressed with groupbys (driver
+union-find only when the candidate-pair set is provably small, which it
+is at any dup rate worth deduping).
 
 Exact dedup mirrors the reference's frame dedup — first-wins on a key
 tuple via a set (include/dqm/ChannelMap.hpp:76-89) — as a per-batch
@@ -239,8 +241,10 @@ def minhash_signature(shingle_hashes: np.ndarray, a: np.ndarray,
 
 
 class MinHashStage:
-    """Actor-pool stage: emits (id, band, band_hash) rows — one per LSH
-    band per document. Permutation tables built once per actor."""
+    """MinHash signatures and LSH band bucket keys; ``doc_table`` emits
+    one compact (id, sig, bucket_keys) row per document. Permutation
+    tables are built once per instance (one per worker process, see
+    ``_minhash_stage``)."""
 
     def __init__(self, *, id_col: str = "doc_id", text_col: str = "text",
                  num_perm: int = 128, bands: int = 16, shingle_k: int = 5,
@@ -325,23 +329,6 @@ class MinHashStage:
                 pa.array(bks.ravel(), pa.int64()), self.bands),
         })
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch.column(self.id_col).to_numpy(zero_copy_only=False)
-        n = len(batch)
-        sigs = self.signatures_batch(
-            batch.column(self.text_col).combine_chunks())
-        bucket_key = self.bucket_keys(sigs).ravel()
-        out_ids = np.repeat(ids, self.bands)
-        # signature rides along per band row (num_perm × 8 B — compact vs
-        # shipping text) so bucket groups can estimate Jaccard locally
-        sig_rep = np.repeat(sigs, self.bands, axis=0)
-        return pa.table({
-            self.id_col: pa.array(out_ids),
-            "bucket_key": pa.array(bucket_key, pa.int64()),
-            "sig": pa.FixedSizeListArray.from_arrays(
-                pa.array(sig_rep.ravel(), pa.uint64()), self.num_perm),
-        })
-
 
 _MINHASH_CACHE: dict = {}
 
@@ -355,22 +342,14 @@ def _minhash_stage(**params) -> "MinHashStage":
     return stage
 
 
-def _minhash_sig_fn(batch: pa.Table, **params) -> pa.Table:
-    """Task-pool twin of MinHashStage: stage built once per worker
-    process (keyed by params), reused by every task landing there."""
-    return _minhash_stage(**params)(batch)
-
-
 def _minhash_doc_fn(batch: pa.Table, **params) -> pa.Table:
     """Task-pool twin of MinHashStage.doc_table (compact per-doc rows)."""
     return _minhash_stage(**params).doc_table(batch)
 
 
-def _explode_bands(batch: pa.Table, *, id_col: str,
-                   with_sig: bool) -> pa.Table:
-    """Per-doc rows → per-band rows. Slim form ships (id, bucket_key)
-    only — 16 B x bands per doc through every shuffle; the wide form
-    repeats the signature per band (the beyond-broadcast fallback)."""
+def _explode_bands(batch: pa.Table, *, id_col: str) -> pa.Table:
+    """Per-doc rows → slim (id, bucket_key) band rows: 16 B x bands per
+    doc (a ``sig`` column is not carried)."""
     bk_col = batch.column("bucket_keys")
     if isinstance(bk_col, pa.ChunkedArray):
         bk_col = bk_col.combine_chunks()
@@ -378,42 +357,32 @@ def _explode_bands(batch: pa.Table, *, id_col: str,
     ids = np.repeat(
         batch.column(id_col).to_numpy(zero_copy_only=False), bands)
     bks = bk_col.flatten().to_numpy(zero_copy_only=False)
-    cols = {id_col: pa.array(ids),
-            "bucket_key": pa.array(bks, pa.int64())}
-    if with_sig:
-        sig_col = batch.column("sig")
-        if isinstance(sig_col, pa.ChunkedArray):
-            sig_col = sig_col.combine_chunks()
-        num_perm = sig_col.type.list_size
-        mat = sig_col.flatten().to_numpy(zero_copy_only=False) \
-            .reshape(len(batch), num_perm)
-        rep = np.repeat(mat, bands, axis=0)
-        cols["sig"] = pa.FixedSizeListArray.from_arrays(
-            pa.array(rep.ravel(), pa.uint64()), num_perm)
-    return pa.table(cols)
+    return pa.table({id_col: pa.array(ids),
+                     "bucket_key": pa.array(bks, pa.int64())})
 
 
-def keep_multi_member_buckets(ds, key: str):
-    """Anti-singleton filter: keep the rows whose ``key`` occurs in more
-    than one row. Per-block (key, count) partials are summed by
-    :func:`~dqm_ray.state.reduce.reduce_partials` and the sorted
-    multi-member keys stay in the object store for the filter tasks.
-    This is what makes bucket-grouped pair extraction scale — at
-    realistic dup rates almost every bucket is a singleton and never
-    reaches the (per-group Python) pair stage."""
-    from dqm_ray.state.reduce import keyed_reduce_map
+def _count_band_keys(batch: pa.Table, *, id_col: str) -> pa.Table:
+    return _count_keys(_explode_bands(batch, id_col=id_col),
+                       key="bucket_key")
 
-    return keyed_reduce_map(
-        ds, functools.partial(_count_keys, key=key),
-        functools.partial(_multi_member, key=key),
-        functools.partial(_keep_ids, col=key), key=key,
-        what="keep_multi_member_buckets",
-        fallback=pa.schema([(key, pa.int64())]))
+
+def _candidate_bands(batch: pa.Table, multi: tuple, *,
+                     id_col: str) -> pa.Table:
+    """The band rows of per-doc ``batch`` whose bucket key is in the
+    sorted multi-member keys ``multi[0]``, each with its doc's
+    signature: only candidate rows carry the ~1 KB signature."""
+    from dqm_ray.state.reduce import sorted_member
+
+    bands = _explode_bands(batch, id_col=id_col)
+    rows = np.nonzero(sorted_member(
+        multi[0], bands.column("bucket_key").to_numpy()))[0]
+    doc = rows // batch.schema.field("bucket_keys").type.list_size
+    return bands.take(rows).append_column("sig",
+                                          batch.column("sig").take(doc))
 
 
 def _count_keys(batch: pa.Table, *, key: str) -> pa.Table:
-    # count on the key column alone: 16 B per distinct key per block
-    # even when the input rows are wide (e.g. ride-along signatures)
+    # 16 B per distinct key per block
     keys, n = np.unique(batch.column(key).to_numpy(), return_counts=True)
     return pa.table({key: pa.array(keys), "n": pa.array(n, pa.int64())})
 
@@ -450,55 +419,39 @@ def _bucket_pairs(ids: np.ndarray, sigs: np.ndarray):
 
 
 def _pairs_from_sorted(ids_all: np.ndarray, bk: np.ndarray,
-                       sig_all: np.ndarray) -> pd.DataFrame:
+                       sig_all: np.ndarray) -> pa.Table:
     """Bucket loop over (bucket_key, id)-sorted rows: contiguous numpy
-    slices per bucket, one DataFrame out."""
-    out_a, out_b, out_e = [], [], []
+    slices per bucket, one (id_a, id_b, est_jaccard) table out."""
+    out = [(np.zeros(0, np.int64), np.zeros(0, np.int64),
+            np.zeros(0, np.float64))]
     if len(ids_all):
         bounds = np.nonzero(np.concatenate(
             ([True], bk[1:] != bk[:-1], [True])))[0]
         for s, e in zip(bounds[:-1], bounds[1:]):
-            if e - s < 2:
-                continue
-            a, b, est = _bucket_pairs(ids_all[s:e], sig_all[s:e])
-            out_a.append(a); out_b.append(b); out_e.append(est)
-    if not out_a:
-        return pd.DataFrame({"id_a": pd.Series(dtype="int64"),
-                             "id_b": pd.Series(dtype="int64"),
-                             "est_jaccard": pd.Series(dtype="float64")})
-    return pd.DataFrame({"id_a": np.concatenate(out_a),
-                         "id_b": np.concatenate(out_b),
-                         "est_jaccard": np.concatenate(out_e)})
+            if e - s >= 2:
+                out.append(_bucket_pairs(ids_all[s:e], sig_all[s:e]))
+    a, b, est = (np.concatenate(c) for c in zip(*out))
+    return pa.table({"id_a": pa.array(a, pa.int64()),
+                     "id_b": pa.array(b, pa.int64()),
+                     "est_jaccard": pa.array(est, pa.float64())})
 
 
-def _pairs_from_part(df: pd.DataFrame, id_col: str) -> pd.DataFrame:
-    """Candidate pairs for a whole HASH-PART of buckets in one call —
-    many tiny bucket groups per map_groups invocation instead of one
-    (per-group dispatch over 10k+ tiny groups is the documented
-    many-tiny-groups pathology). Signatures ride along in the rows."""
-    df = df.drop_duplicates(subset=["bucket_key", id_col]) \
-        .sort_values(["bucket_key", id_col])
-    sig_all = np.stack(df["sig"].to_numpy()) if len(df) else \
-        np.zeros((0, 0), np.uint64)
-    return _pairs_from_sorted(df[id_col].to_numpy(),
-                              df["bucket_key"].to_numpy(), sig_all)
-
-
-def _pairs_from_part_bcast(df: pd.DataFrame, id_col: str,
-                           sig_ref) -> pd.DataFrame:
-    """Broadcast-signature variant: rows carry only (id, bucket_key);
-    each part gathers its signatures from the ray.put (ids, matrix)
-    pair — zero-copy plasma views, one searchsorted per part."""
-    import ray
-
-    ids_sorted, mat = ray.get(sig_ref)
-    df = df.drop_duplicates(subset=["bucket_key", id_col]) \
-        .sort_values(["bucket_key", id_col])
-    ids_all = df[id_col].to_numpy()
-    sig_all = mat[np.searchsorted(ids_sorted, ids_all)] if len(df) else \
-        np.zeros((0, 0), np.uint64)
-    return _pairs_from_sorted(ids_all, df["bucket_key"].to_numpy(),
-                              sig_all)
+def _verified_pairs(rows: pa.Table, *, id_col: str,
+                    threshold: float) -> pa.Table:
+    """Pairs with signature Jaccard >= ``threshold`` among candidate band
+    rows (id, bucket_key, sig) that hold every row of each bucket they
+    see; a doc counts once per bucket."""
+    if not rows.num_rows:
+        return _pairs_from_sorted(np.zeros(0, np.int64), None, None)
+    ids = rows.column(id_col).to_numpy()
+    bk = rows.column("bucket_key").to_numpy()
+    order = np.lexsort((ids, bk))
+    ids, bk = ids[order], bk[order]
+    first = np.r_[True, (ids[1:] != ids[:-1]) | (bk[1:] != bk[:-1])]
+    sig = rows.column("sig").combine_chunks()
+    mat = sig.flatten().to_numpy().reshape(len(sig), sig.type.list_size)
+    pairs = _pairs_from_sorted(ids[first], bk[first], mat[order[first]])
+    return pairs.filter(pairs["est_jaccard"].to_numpy() >= threshold)
 
 
 def connected_components(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
@@ -577,9 +530,8 @@ def minhash_lsh_dedup(ds, *, id_col: str = "doc_id", text_col: str = "text",
                       num_perm: int = 128, bands: int = 16, shingle_k: int = 5,
                       threshold: float = 0.8, concurrency=None,
                       batch_size: int = 512,
-                      cc_pair_threshold: int = 2_000_000,
-                      broadcast_sig_limit: int = 2_000_000):
-    """Near-dup detection: shingle → minhash → band → bucket groupby →
+                      cc_pair_threshold: int = 2_000_000):
+    """Near-dup detection: shingle → minhash → band → bucket reduce →
     candidate pairs → signature-Jaccard verify → connected components.
 
     Banding default is 8 rows/band (128 perms / 16 bands) — tuned for
@@ -588,86 +540,59 @@ def minhash_lsh_dedup(ds, *, id_col: str = "doc_id", text_col: str = "text",
     floods buckets on template-heavy corpora where everything is ~50%
     similar: measured 45x slower end-to-end on a 200k-file code corpus.
 
+    Shape (:mod:`dqm_ray.state.reduce`, plain Ray tasks over the
+    per-doc blocks; no shuffle, no signature on the driver):
+    1. one content pass emits one compact (id, sig, bucket_keys) row
+       per doc;
+    2. the anti-singleton band filter: per-block (bucket key, count)
+       partials reduce to the sorted multi-member bucket keys;
+    3. per block, the band rows in a multi-member bucket — at realistic
+       dup rates a small share of all band rows — with their doc's
+       signature;
+    4. one reduce keyed on the bucket key turns those rows into the
+       distinct verified (id_a, id_b, est_jaccard) pairs.
+
     Components run driver-side (union-find) only when the verified pair
     count is ≤ ``cc_pair_threshold``; above it they run through the
     distributed min-label propagation (:func:`connected_components`), so
     the driver never holds an unbounded pair set.
 
     Returns (dup_table, pairs): dup_table maps id → group representative
-    (min id of its component); only ids in some near-dup component appear.
+    (min id of its component); only ids in some near-dup component
+    appear. pairs is a Dataset of the distinct verified pairs (int64
+    id_a < id_b, float64 est_jaccard) on both paths.
     """
     import ray
+    import ray.data as rd
+
+    from dqm_ray.state.reduce import (map_blocks, map_reduce,
+                                      reduce_partials, value_table)
+    from dqm_ray.state.tasks import wait_all
 
     # elastic task pool with a per-worker-process stage cache (the same
     # amortization as an actor pool — permutation tables built once per
     # worker — without fixed-pool spin-up or sizing; `concurrency`
-    # optionally caps it). One content pass emits COMPACT per-doc rows
-    # (sig stored once, not once per band). At extreme scale, write
-    # per_doc to parquet instead of materialize and read twice.
+    # optionally caps it)
     params = dict(id_col=id_col, text_col=text_col, num_perm=num_perm,
                   bands=bands, shingle_k=shingle_k)
     per_doc = ds.map_batches(
         functools.partial(_minhash_doc_fn, **params),
         batch_format="pyarrow", batch_size=batch_size, num_cpus=1,
         **({"concurrency": concurrency} if concurrency else {})) \
-        .materialize()
-    n_docs = per_doc.count()
-
-    # ≤ broadcast_sig_limit docs (default 2M ≈ 2 GB at 128 perms): ship
-    # ONLY (id, bucket_key) rows through the bucket shuffles and gather
-    # signatures per part from one ray.put broadcast — 16 B x bands per
-    # doc moves instead of the 1 KB signature per band row (measured 3x
-    # end-to-end on a 200k-file corpus). Beyond the limit, fall back to
-    # the classic LSH ride-along (sig repeated per band row), which
-    # never broadcasts anything doc-proportional.
-    broadcast = n_docs <= broadcast_sig_limit
-    band_rows = per_doc.map_batches(
-        functools.partial(_explode_bands, id_col=id_col,
-                          with_sig=not broadcast),
-        batch_format="pyarrow")
-    band_rows = keep_multi_member_buckets(band_rows, "bucket_key")
-
-    if broadcast:
-        ids_parts, sig_parts = [], []
-        for b in per_doc.select_columns([id_col, "sig"]) \
-                .iter_batches(batch_size=8192, batch_format="pyarrow"):
-            ids_parts.append(
-                b.column(id_col).to_numpy(zero_copy_only=False))
-            sig_col = b.column("sig")
-            if isinstance(sig_col, pa.ChunkedArray):
-                sig_col = sig_col.combine_chunks()
-            sig_parts.append(
-                sig_col.flatten().to_numpy(zero_copy_only=False)
-                .reshape(len(b), num_perm))
-        ids_arr = np.concatenate(ids_parts) if ids_parts else \
-            np.zeros(0, np.int64)
-        mat = np.concatenate(sig_parts) if sig_parts else \
-            np.zeros((0, num_perm), np.uint64)
-        order = np.argsort(ids_arr, kind="stable")
-        sig_ref = ray.put((ids_arr[order], mat[order]))
-        pair_fn = functools.partial(_pairs_from_part_bcast,
-                                    id_col=id_col, sig_ref=sig_ref)
-    else:
-        pair_fn = functools.partial(_pairs_from_part, id_col=id_col)
-
-    def add_part(batch: pa.Table, n_parts: int = _auto_parts()) -> pa.Table:
-        k = batch.column("bucket_key").to_numpy(zero_copy_only=False)
-        part = (pd.util.hash_array(k.astype(np.int64))
-                % n_parts).astype(np.int32)
-        return batch.append_column("part", pa.array(part, pa.int32()))
-
-    # co-locate buckets by hash-part (64 groups), extract pairs for a
-    # whole part per call — same shuffle volume, none of the per-tiny-
-    # group dispatch cost
-    pairs = band_rows.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("part").map_groups(pair_fn, batch_format="pandas")
-    # signature-estimated Jaccard is a pure function of the pair, so the
-    # same pair surfacing from several bands carries the same estimate —
-    # filter before any dedup/collect
-    verified = pairs.map_batches(
-        lambda df: df[df["est_jaccard"] >= threshold],
-        batch_format="pandas").materialize()
-    n_pairs = verified.count()
+        .to_arrow_refs()
+    multi, _ = map_reduce(
+        per_doc, functools.partial(_count_band_keys, id_col=id_col),
+        functools.partial(_multi_member, key="bucket_key"),
+        key="bucket_key", what="minhash_bands")
+    cands, meta = map_blocks(
+        functools.partial(_candidate_bands, id_col=id_col), per_doc, multi)
+    pairs, _ = reduce_partials(
+        cands, wait_all(meta),
+        functools.partial(_verified_pairs, id_col=id_col,
+                          threshold=threshold),
+        key="bucket_key", what="minhash_lsh_dedup")
+    pairs, n_pairs = value_table(pairs, ["id_a", "id_b", "est_jaccard"])
+    verified = rd.from_arrow_refs([pairs])
 
     if n_pairs > cc_pair_threshold:
         # distributed components; collect only (node, label) — one row
@@ -680,10 +605,8 @@ def minhash_lsh_dedup(ds, *, id_col: str = "doc_id", text_col: str = "text",
         })
         return dup_table, verified
 
-    pairs_df = verified.to_pandas()
-    if len(pairs_df):
-        pairs_df = pairs_df.drop_duplicates(["id_a", "id_b"],
-                                            ignore_index=True)
+    got = ray.get(pairs)
+    id_a, id_b = got["id_a"].to_pylist(), got["id_b"].to_pylist()
 
     # union-find on the (small) verified pair set
     parent: dict = {}
@@ -694,18 +617,17 @@ def minhash_lsh_dedup(ds, *, id_col: str = "doc_id", text_col: str = "text",
             x = parent[x]
         return x
 
-    for a, b in zip(pairs_df.get("id_a", []), pairs_df.get("id_b", [])):
+    for a, b in zip(id_a, id_b):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
-    members = sorted({x for p in zip(pairs_df.get("id_a", []),
-                                     pairs_df.get("id_b", [])) for x in p})
+    members = sorted(set(id_a) | set(id_b))
     rep = {m: find(m) for m in members}
     dup_table = pa.table({
         id_col: pa.array(members, pa.int64()),
         "dup_group": pa.array([rep[m] for m in members], pa.int64()),
     })
-    return dup_table, pairs_df
+    return dup_table, verified
 
 
 def canonical_docs(ds, dup_table: pa.Table, *, id_col: str = "doc_id",
@@ -886,77 +808,71 @@ def simhash_batch(batch: pa.Table, *, text_col: str = "text",
     return batch.append_column("simhash", pa.array(out, pa.uint64()))
 
 
+def _simhash_bands(batch: pa.Table, *, id_col: str) -> pa.Table:
+    """(id, bucket_key, simhash) rows, one per 16-bit block of each
+    doc's simhash; the block index is mixed into the bucket key."""
+    ids = batch.column(id_col).to_numpy(zero_copy_only=False)
+    h = batch.column("simhash").to_numpy(zero_copy_only=False)
+    blocks = [((h >> np.uint64(16 * blk)) & np.uint64(0xFFFF))
+              + np.uint64(blk + 1) * np.uint64(0x10000) for blk in range(4)]
+    return pa.table({
+        id_col: pa.array(np.tile(ids, 4)),
+        "bucket_key": pa.array(np.concatenate(blocks).view(np.int64)),
+        "simhash": pa.array(np.tile(h, 4), pa.uint64())})
+
+
+def _hamming_pairs(rows: pa.Table, *, id_col: str,
+                   max_hamming: int) -> pa.Table:
+    """Pairs within ``max_hamming`` among simhash band rows that hold
+    every row of each bucket they see; a doc counts once per bucket.
+    Singleton buckets are dropped before the per-bucket loop."""
+    out = [(np.zeros(0, np.int64),) * 3]
+    if rows.num_rows:
+        ids = rows.column(id_col).to_numpy()
+        bk = rows.column("bucket_key").to_numpy()
+        h = rows.column("simhash").to_numpy()
+        order = np.lexsort((ids, bk))
+        ids, bk, h = ids[order], bk[order], h[order]
+        first = np.r_[True, (ids[1:] != ids[:-1]) | (bk[1:] != bk[:-1])]
+        ids, bk, h = ids[first], bk[first], h[first]
+        bounds = np.nonzero(np.r_[True, bk[1:] != bk[:-1], True])[0]
+        multi = np.diff(bounds) >= 2
+        for s, e in zip(bounds[:-1][multi], bounds[1:][multi]):
+            ia, ib = np.triu_indices(e - s, k=1)
+            x = h[s:e][ia] ^ h[s:e][ib]
+            # vectorized popcount via 8-bit lookup over the bytes
+            ham = _POPCOUNT[x.view(np.uint8).reshape(len(x), 8)].sum(axis=1)
+            m = ham <= max_hamming
+            out.append((ids[s:e][ia][m], ids[s:e][ib][m], ham[m]))
+    a, b, ham = (np.concatenate(c).astype(np.int64) for c in zip(*out))
+    return pa.table({"id_a": a, "id_b": b, "hamming": ham})
+
+
 def simhash_candidates(ds, *, id_col: str = "doc_id", text_col: str = "text",
                        max_hamming: int = 3):
     """Simhash near-dup candidates via 4-block banding (any pair within
     Hamming ≤ 3 of a 64-bit hash shares at least one identical 16-bit
-    block — pigeonhole). Returns pandas pairs with exact Hamming."""
-    sh = ds.map_batches(functools.partial(simhash_batch, text_col=text_col),
-                        batch_format="pyarrow")
-    sh = sh.select_columns([id_col, "simhash"])
+    block — pigeonhole). One content pass emits the band rows on plain
+    Ray tasks over its blocks and one reduce keyed on the bucket key
+    emits the pairs (:func:`~dqm_ray.state.reduce.map_reduce`). Returns
+    a pandas frame of the distinct pairs: int64 ``id_a`` < ``id_b`` and
+    their exact ``hamming`` (0 rows with the same columns when there is
+    no pair)."""
+    import ray
 
-    def explode(batch: pa.Table) -> pa.Table:
-        ids = batch.column(id_col).to_numpy(zero_copy_only=False)
-        h = batch.column("simhash").to_numpy(zero_copy_only=False)
-        parts = []
-        for blk in range(4):
-            block = (h >> np.uint64(16 * blk)) & np.uint64(0xFFFF)
-            bucket_key = (block + np.uint64(blk + 1) * np.uint64(0x10000)) \
-                .view(np.int64)
-            parts.append(pa.table({
-                id_col: pa.array(np.asarray(ids)),
-                "bucket_key": pa.array(bucket_key, pa.int64()),
-                "simhash": pa.array(h),
-            }))
-        return pa.concat_tables(parts)
+    from dqm_ray.state.reduce import map_reduce
 
-    exploded = sh.map_batches(explode, batch_format="pyarrow").materialize()
-    exploded = keep_multi_member_buckets(exploded, "bucket_key")
-
-    def add_part(batch: pa.Table, n_parts: int = _auto_parts()) -> pa.Table:
-        k = batch.column("bucket_key").to_numpy(zero_copy_only=False)
-        part = (pd.util.hash_array(k.astype(np.int64))
-                % n_parts).astype(np.int32)
-        return batch.append_column("part", pa.array(part, pa.int32()))
-
-    def pairs_part(df: pd.DataFrame) -> pd.DataFrame:
-        """All candidate pairs for a hash-part of buckets in one call
-        (per-tiny-group map_groups dispatch is the documented
-        pathology); per-bucket work is contiguous numpy slices."""
-        df = df.drop_duplicates(subset=["bucket_key", id_col]) \
-            .sort_values(["bucket_key", id_col])
-        ids_all = df[id_col].to_numpy()
-        h_all = df["simhash"].to_numpy().astype(np.uint64)
-        bk = df["bucket_key"].to_numpy()
-        out_a, out_b, out_h = [], [], []
-        if len(df):
-            bounds = np.nonzero(np.concatenate(
-                ([True], bk[1:] != bk[:-1], [True])))[0]
-            for s, e in zip(bounds[:-1], bounds[1:]):
-                if e - s < 2:
-                    continue
-                ids, h = ids_all[s:e], h_all[s:e]
-                ia, ib = np.triu_indices(len(ids), k=1)
-                x = h[ia] ^ h[ib]
-                # vectorized popcount via 8-bit lookup over the bytes
-                ham = _POPCOUNT[x.view(np.uint8).reshape(len(x), 8)] \
-                    .sum(axis=1).astype(np.int64)
-                out_a.append(ids[ia]); out_b.append(ids[ib]); out_h.append(ham)
-        if not out_a:
-            return pd.DataFrame({"id_a": pd.Series(dtype="int64"),
-                                 "id_b": pd.Series(dtype="int64"),
-                                 "hamming": pd.Series(dtype="int64")})
-        return pd.DataFrame({"id_a": np.concatenate(out_a),
-                             "id_b": np.concatenate(out_b),
-                             "hamming": np.concatenate(out_h)})
-
-    cand = exploded.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("part").map_groups(pairs_part,
-                                    batch_format="pandas").to_pandas()
-    if len(cand):
-        cand = cand.groupby(["id_a", "id_b"], as_index=False)["hamming"].min()
-        cand = cand[cand["hamming"] <= max_hamming]
-    return cand
+    blocks = ds.map_batches(
+        functools.partial(simhash_batch, text_col=text_col),
+        batch_format="pyarrow").select_columns([id_col, "simhash"]) \
+        .to_arrow_refs()
+    pairs, _ = map_reduce(
+        blocks, functools.partial(_simhash_bands, id_col=id_col),
+        functools.partial(_hamming_pairs, id_col=id_col,
+                          max_hamming=max_hamming),
+        key="bucket_key", what="simhash_candidates")
+    return pd.DataFrame(dict(zip(["id_a", "id_b", "hamming"],
+                                 ray.get(pairs))))
 
 
 # ---------------------------------------------------------------------------

@@ -194,8 +194,7 @@ def _write_minhash_layout(ds, out_dir: str, *, text_col: str,
         batch_format="pyarrow", num_cpus=1).materialize()
 
     def band_rows(batch: pa.Table) -> pa.Table:
-        t = _explode_bands(batch.drop_columns(["sig"]), id_col=id_col,
-                           with_sig=False)
+        t = _explode_bands(batch, id_col=id_col)
         bk = t.column("bucket_key").to_numpy(zero_copy_only=False)
         return t.append_column(
             "bucket", pa.array(bucket_of(bk, num_buckets), pa.int32()))

@@ -1,26 +1,30 @@
 """Keyed reduce of compact partials — the one reduce of the dedup family
-— and :func:`keyed_reduce_map`, which runs such an op on plain Ray tasks
-over the input's block refs: ``Dataset`` in and out, no Ray Data
-execution (its executor polls at 0.1 s; a shuffle costs ~1 s on one CPU
-however few rows it moves) and no driver collect inside.
+— and the steps that run such an op on plain Ray tasks over the input's
+block refs: no Ray Data execution (its executor polls at 0.1 s; a
+shuffle costs ~1 s on one CPU however few rows it moves) and no driver
+collect inside.
 
-Per block one task emits compact partials — combined counters or winner
-keys, never content — and their ``(rows, bytes)``; plain Ray tasks
-reduce them, the way the reference reduces each window inside one
-worker and ships only the result (plugins/DQMProcessor.cpp:541-556);
-then one task per block filters or rewrites it against the reduced
-value. The reduce is split into K hash parts, K the smallest power of
-two that keeps ``partial_bytes / K`` at or under ``SMALL_REDUCE_BYTES``:
+Per block one task emits compact partials — combined counters, winner
+keys or candidate rows, never content — and their ``(rows, bytes)``
+(:func:`map_blocks`); plain Ray tasks reduce them (:func:`map_reduce`),
+the way the reference reduces each window inside one worker and ships
+only the result (plugins/DQMProcessor.cpp:541-556); then one task per
+block filters or rewrites it against the reduced value
+(:func:`keyed_reduce_map`, ``Dataset`` in and out), or emits the rows
+of a second reduce (the near-dup pairs). The reduce is split into K
+hash parts, K the smallest power of two that keeps
+``partial_bytes / K`` at or under ``SMALL_REDUCE_BYTES``:
 
 - K = 1: one task concatenates every partial block and reduces it;
 - K > 1: one split task per partial block cuts it into K parts by its
   hashed key, K tasks reduce one part each, and one task concatenates
   the K results.
 
-Either way the value — the result columns as numpy arrays, sorted by
-all of them — stays in the object store and the keep tasks take it as
-an argument. The bound left is that value, which every keep task reads
-whole: its size is the caller's (winner ids, frequent lines), not K's.
+Either way the value — the distinct result rows as numpy arrays, sorted
+by all columns — stays in the object store and the keep tasks take it
+as an argument. The bound left is that value, which every keep task
+reads whole: its size is the caller's (winner ids, frequent lines), not
+K's.
 """
 
 from __future__ import annotations
@@ -55,11 +59,20 @@ def _concat(blocks) -> pa.Table:
 
 
 def _sorted(table: pa.Table) -> tuple:
-    """The columns of ``table`` as numpy arrays, sorted by all of them,
-    first column first (a tuple of arrays reads back from the object
-    store faster than a Table)."""
+    """The distinct rows of ``table`` as numpy arrays, one per column,
+    sorted by all columns, first column first (a tuple of arrays reads
+    back from the object store faster than a Table). Two parts may emit
+    the same row, e.g. a near-dup pair found in buckets of both; it is
+    kept once."""
     table = table.sort_by([(c, "ascending") for c in table.column_names])
-    return tuple(c.to_numpy() for c in table.columns)
+    cols = [c.to_numpy() for c in table.columns]
+    if cols and len(cols[0]) > 1:
+        same = np.ones(len(cols[0]) - 1, bool)
+        for c in cols:
+            same &= c[1:] == c[:-1]
+        if same.any():
+            cols = [c[np.r_[True, ~same]] for c in cols]
+    return tuple(cols)
 
 
 def _key_bits(column: pa.ChunkedArray) -> np.ndarray:
@@ -126,10 +139,10 @@ def reduce_partials(partials: list, meta: list,
     returns a table with a fixed schema. ``key`` names the partials'
     hashed key column (integer, or string/binary read by its first 8
     bytes); equal keys land in one part. The value is a tuple of numpy
-    arrays, one per result column: the concatenated results sorted by
-    all their columns, first column first. K, the
-    partial rows and the partial bytes are logged at INFO on the
-    ``dqm_ray`` logger. A failed task raises here.
+    arrays, one per result column: the distinct rows of the
+    concatenated results sorted by all their columns, first column
+    first. K, the partial rows and the partial bytes are logged at INFO
+    on the ``dqm_ray`` logger. A failed task raises here.
     """
     rows = sum(r for r, _ in meta)
     nbytes = sum(b for _, b in meta)
@@ -152,18 +165,46 @@ def reduce_partials(partials: list, meta: list,
 
 
 @ray.remote(num_returns=2)
-def _partial_task(partial: Callable[[pa.Table], pa.Table],
-                  block: pa.Table):
+def _as_table(value: tuple, names: list):
+    table = pa.table(dict(zip(names, value)))
+    return table, table.num_rows
+
+
+def value_table(value, names: list):
+    """The reduced columns behind ``value`` as one Arrow table in the
+    object store, its columns named ``names``; returns ``(ref, rows)``.
+    Only the row count reaches the driver."""
+    table, rows = _as_table.remote(value, names)
+    return table, ray.get(rows)
+
+
+@ray.remote(num_returns=2)
+def _block_task(fn: Callable, block: pa.Table, *args):
     # Ray Data calls no map function on a 0-row block (it may have no
-    # columns): its partial is a 0-row, 0-column table
-    out = partial(block) if block.num_rows else pa.table({})
+    # columns): its output is a 0-row, 0-column table
+    out = fn(block, *args) if block.num_rows else pa.table({})
     return out, (out.num_rows, out.nbytes)
 
 
-@ray.remote
-def _keep_task(keep: Callable[[pa.Table, tuple], pa.Table],
-               block: pa.Table, value: tuple):
-    return keep(block, value) if block.num_rows else pa.table({})
+def map_blocks(fn: Callable, blocks: list, *args) -> tuple[list, list]:
+    """One task per block ref runs ``fn(block, *args)`` (an arg that is
+    a ref, like a reduced value, arrives resolved); returns the output
+    block refs and the refs of their ``(rows, bytes)``. A 0-row block
+    runs no ``fn``."""
+    pairs = [_block_task.remote(fn, b, *args) for b in blocks]
+    return [p for p, _ in pairs], [m for _, m in pairs]
+
+
+def map_reduce(blocks: list, partial: Callable[[pa.Table], pa.Table],
+               reduce: Callable[[pa.Table], pa.Table], *, key: str,
+               what: str):
+    """:func:`reduce_partials` of ``partial(block)`` over the block refs
+    ``blocks``; returns its ``(ref, partial rows)``. A failed map task
+    raises here as its original exception class, once the other map
+    tasks have ended."""
+    partials, meta = map_blocks(partial, blocks)
+    return reduce_partials(partials, wait_all(meta), reduce, key=key,
+                           what=what)
 
 
 def keyed_reduce_map(ds, partial: Callable[[pa.Table], pa.Table],
@@ -171,24 +212,20 @@ def keyed_reduce_map(ds, partial: Callable[[pa.Table], pa.Table],
                      keep: Callable[[pa.Table, tuple], pa.Table], *,
                      key: str, what: str, fallback: pa.Schema):
     """``keep(block, value)`` for every block of ``ds``, where ``value``
-    is :func:`reduce_partials` of ``partial(block)`` over all blocks;
+    is :func:`map_reduce` of ``partial`` and ``reduce`` over its blocks;
     returns the output Dataset (``rd.from_arrow_refs``, which waits for
     the keep tasks). ``to_arrow_refs`` is O(1) on a materialized input;
     a lazy input runs once and its blocks stay in the object store until
     the keep tasks have read them. A 0-row block runs neither function.
     When the partials have no rows the output also holds ``keep`` of a
     0-row table of ``ds``'s schema (or ``fallback``, see
-    :func:`_empty_batch`), so an emptied input keeps the output schema.
-    A failed map task raises here as its original exception class, once
-    the other map tasks have ended."""
+    :func:`_empty_batch`), so an emptied input keeps the output
+    schema."""
     import ray.data as rd
 
     blocks = ds.to_arrow_refs()
-    pairs = [_partial_task.remote(partial, b) for b in blocks]
-    value, rows = reduce_partials(
-        [p for p, _ in pairs], wait_all([m for _, m in pairs]), reduce,
-        key=key, what=what)
-    out = [_keep_task.remote(keep, b, value) for b in blocks]
+    value, rows = map_reduce(blocks, partial, reduce, key=key, what=what)
+    out, _ = map_blocks(keep, blocks, value)
     if not rows:
         out.append(ray.put(keep(_empty_batch(ds, fallback),
                                 ray.get(value))))

@@ -13,7 +13,13 @@ def wait_all(refs) -> list:
     ``refs`` has ended; return their values in order. The first failed
     task cancels the unfinished ones, waits until they have ended and
     re-raises its error: a ``RayTaskError`` that is also an instance of
-    the original class (``KeyError``, ``LineageError``, ...)."""
+    the original class (``KeyError``, ``LineageError``, ...).
+
+    The cancel is cooperative (``ray.cancel(force=False)`` interrupts a
+    running task only between Python bytecodes), so a sibling inside one
+    long native call — a ``time.sleep``, a parquet write, an Arrow
+    kernel — delays the raise until that call returns: three
+    ``time.sleep(30)`` siblings held a failure for 30.2 s."""
     todo = list(refs)
     try:
         while todo:

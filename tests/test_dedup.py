@@ -80,6 +80,22 @@ def test_simhash_candidates_pipeline(ray_session):
     assert (0, 100) in pairs  # identical text → hamming 0
 
 
+@pytest.mark.parametrize("texts", [
+    [], ["the quick brown fox jumps over the lazy dog " * 5,
+         "completely different words entirely unrelated content " * 5]])
+def test_simhash_candidates_without_pairs_keeps_columns(ray_session, texts):
+    """No pair (an empty input, or two unrelated docs) still gives the
+    int64 id_a, id_b and hamming columns."""
+    import ray.data as rd
+
+    t = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                  "text": pa.array(texts, pa.string())})
+    cand = simhash_candidates(rd.from_arrow(t), max_hamming=3)
+    assert len(cand) == 0
+    assert list(cand.columns) == ["id_a", "id_b", "hamming"]
+    assert (cand.dtypes == np.int64).all()
+
+
 def test_ngram_jaccard_bounds():
     assert ngram_jaccard("abcdefgh", "abcdefgh") == 1.0
     assert ngram_jaccard("aaaaaaaa", "bbbbbbbb") == 0.0
@@ -125,9 +141,9 @@ def test_minhash_lsh_distributed_components_match_driver(ray_session):
     import ray.data as rd
 
     t = _docs_with_dups()
-    dup_drv, _ = minhash_lsh_dedup(
+    dup_drv, pairs_drv = minhash_lsh_dedup(
         rd.from_arrow(t), threshold=0.6, concurrency=2, batch_size=16)
-    dup_dist, _ = minhash_lsh_dedup(
+    dup_dist, pairs_dist = minhash_lsh_dedup(
         rd.from_arrow(t), threshold=0.6, concurrency=2, batch_size=16,
         cc_pair_threshold=0)  # force the distributed path
     a = sorted(zip(dup_drv["doc_id"].to_pylist(),
@@ -135,6 +151,13 @@ def test_minhash_lsh_distributed_components_match_driver(ray_session):
     b = sorted(zip(dup_dist["doc_id"].to_pylist(),
                    dup_dist["dup_group"].to_pylist()))
     assert a == b and len(a) > 0
+    # one pair type on both paths: the distinct verified pairs
+    assert type(pairs_drv) is type(pairs_dist)
+    p_drv, p_dist = (p.to_pandas().sort_values(["id_a", "id_b"])
+                     .reset_index(drop=True)
+                     for p in (pairs_drv, pairs_dist))
+    pd.testing.assert_frame_equal(p_drv, p_dist)
+    assert not p_drv.duplicated(["id_a", "id_b"]).any() and len(p_drv)
 
 
 def test_connected_components_full_range_int64_ids(ray_session):
@@ -394,17 +417,17 @@ def test_exact_dedup_reduce_threshold_parity(ray_session, dup_docs,
 
 
 def test_dedup_ops_on_empty_input(ray_session):
-    """The five ops on the keyed reduce return 0 rows with their output
-    schema (``Dataset.schema()``; Ray Data's ``to_pandas`` drops the
-    columns of any all-empty Dataset) on an emptied input: filtered to 0 rows, cut to 0 blocks by
+    """On an emptied input — filtered to 0 rows, cut to 0 blocks by
     limit(0), or a 0-row table (corpus gates can legitimately empty
-    their input). A filter that kept no rows leaves no input schema, so
-    its output carries (doc_id, text) and the op's own columns, or just
-    the key column for keep_multi_member_buckets."""
+    their input) — the four Dataset ops on the keyed reduce return 0
+    rows with their output schema (``Dataset.schema()``; Ray Data's
+    ``to_pandas`` drops the columns of any all-empty Dataset), and
+    minhash_lsh_dedup returns no members and no pairs, typed. A filter
+    that kept no rows leaves no input schema, so its output carries
+    (doc_id, text) and the op's own columns."""
     import ray.data as rd
 
     from dqm_ray.functions.boilerplate import remove_boilerplate_lines
-    from dqm_ray.functions.dedup import keep_multi_member_buckets
     from dqm_ray.functions.paragraphs import dedup_paragraphs
     from dqm_ray.functions.spans import dedup_spans
 
@@ -413,8 +436,6 @@ def test_dedup_ops_on_empty_input(ray_session):
         "exact_dedup": (exact_dedup, []),
         "boilerplate": (lambda ds: remove_boilerplate_lines(ds, min_docs=2),
                         ["n_removed"]),
-        "multi_member": (lambda ds: keep_multi_member_buckets(ds, "doc_id"),
-                         []),
         "paragraphs": (dedup_paragraphs, ["n_kept", "n_dropped"]),
         "spans": (lambda ds: dedup_spans(ds, k=10), ["n_cut"]),
     }
@@ -427,9 +448,13 @@ def test_dedup_ops_on_empty_input(ray_session):
             out = op(ds)
             assert out.count() == 0, (name, how)
             cols = ["doc_id", "text"] + extra
-            if (name, how) == ("multi_member", "filtered"):
-                cols = ["doc_id"]  # only its key column is known
             assert out.schema().names == cols, (name, how, out.schema())
+    # the near-dup pair stage: an empty dup_table and 0 typed pairs
+    for ds in empties.values():
+        dup, pairs = minhash_lsh_dedup(ds)
+        assert dup.num_rows == 0 and dup.schema.types == [pa.int64()] * 2
+        assert pairs.count() == 0
+        assert pairs.schema().names == ["id_a", "id_b", "est_jaccard"]
 
 
 def test_small_reduce_collects_nothing_on_driver(ray_session, dup_docs,

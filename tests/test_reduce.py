@@ -1,7 +1,7 @@
 """The keyed reduce of the dedup family (dqm_ray/state/reduce.py): the
-five ops on it give their naive twin's output at K = 1 and at K > 1
-with no driver-side collect, and a reduce task that dies is retried or
-raises at the call site."""
+ops on it give their naive twin's output at K = 1 and at K > 1 with no
+driver-side collect, and a reduce task that dies is retried or raises
+at the call site."""
 
 import os
 import time
@@ -17,10 +17,6 @@ SPAN_K = 10
 
 def _exact_twin(df: pd.DataFrame) -> pd.DataFrame:
     return df[df["doc_id"].isin(df.groupby("text")["doc_id"].min())]
-
-
-def _multi_member_twin(df: pd.DataFrame) -> pd.DataFrame:
-    return df[df["key"].duplicated(keep=False)]
 
 
 def _spans_twin(df: pd.DataFrame, k: int) -> pd.DataFrame:
@@ -43,10 +39,70 @@ def _spans_twin(df: pd.DataFrame, k: int) -> pd.DataFrame:
     return df.assign(text=texts, n_cut=np.array(cuts, np.int64))
 
 
+def _union_find_groups(edges) -> pd.DataFrame:
+    """(doc_id, dup_group) for every node of ``edges``, the group being
+    the min id of its connected component."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    nodes = sorted(parent)
+    return pd.DataFrame({"doc_id": np.array(nodes, np.int64),
+                         "dup_group": np.array([find(x) for x in nodes],
+                                               np.int64)})
+
+
+def _minhash_twin(df: pd.DataFrame, threshold: float = 0.8) -> pd.DataFrame:
+    """Naive twin of minhash_lsh_dedup's dup_table: every pair of docs
+    that share a band bucket and whose signatures agree on at least
+    ``threshold`` of the permutations is an edge; union-find labels
+    each component by its min id."""
+    from dqm_ray.functions.dedup import MinHashStage
+
+    stage = MinHashStage()
+    sigs = {d: stage.signature(t) for d, t in zip(df["doc_id"], df["text"])}
+    keys = stage.bucket_keys(np.stack(list(sigs.values())))
+    buckets = {}
+    for d, row in zip(sigs, keys):
+        for k in row:
+            buckets.setdefault(int(k), []).append(int(d))
+    edges = {(a, b) for members in buckets.values()
+             for a in members for b in members
+             if a < b and (sigs[a] == sigs[b]).mean() >= threshold}
+    return _union_find_groups(edges)
+
+
+def _simhash_twin(df: pd.DataFrame, max_hamming: int) -> pd.DataFrame:
+    """Naive twin of simhash_candidates: every pair of docs that share
+    one of the four 16-bit blocks of their simhash and differ in at
+    most ``max_hamming`` bits."""
+    from dqm_ray.functions.dedup import simhash_batch
+
+    h = simhash_batch(pa.table({"text": df["text"].tolist()}))["simhash"]
+    docs = sorted(zip(df["doc_id"].tolist(), h.to_pylist()))
+    rows = []
+    for i, (a, ha) in enumerate(docs):
+        for b, hb in docs[i + 1:]:
+            ham = bin(ha ^ hb).count("1")
+            share = any((ha >> s) & 0xFFFF == (hb >> s) & 0xFFFF
+                        for s in (0, 16, 32, 48))
+            if share and ham <= max_hamming:
+                rows.append((a, b, ham))
+    return pd.DataFrame(np.array(rows, np.int64).reshape(-1, 3),
+                        columns=["id_a", "id_b", "hamming"])
+
+
 def _sites(boilerplate_twin, paragraphs_twin):
     """what -> (run the op on a Dataset, naive twin of the input frame)."""
     from dqm_ray.functions.boilerplate import remove_boilerplate_lines
-    from dqm_ray.functions.dedup import exact_dedup, keep_multi_member_buckets
+    from dqm_ray.functions.dedup import (exact_dedup, minhash_lsh_dedup,
+                                         simhash_candidates)
     from dqm_ray.functions.paragraphs import dedup_paragraphs
     from dqm_ray.functions.spans import dedup_spans
 
@@ -56,28 +112,39 @@ def _sites(boilerplate_twin, paragraphs_twin):
             lambda ds: remove_boilerplate_lines(ds, min_len=10,
                                                 min_docs=20),
             lambda df: boilerplate_twin(df, 10, 20)),
-        "keep_multi_member_buckets": (
-            lambda ds: keep_multi_member_buckets(ds, "key"),
-            _multi_member_twin),
         "dedup_paragraphs": (
-            lambda ds: dedup_paragraphs(ds.drop_columns(["key"]), sep="\n"),
+            lambda ds: dedup_paragraphs(ds, sep="\n"),
             lambda df: paragraphs_twin(df, sep="\n")),
         "dedup_spans": (
-            lambda ds: dedup_spans(ds.drop_columns(["key"]), k=SPAN_K),
-            lambda df: _spans_twin(df.drop(columns=["key"]), SPAN_K)),
+            lambda ds: dedup_spans(ds, k=SPAN_K),
+            lambda df: _spans_twin(df, SPAN_K)),
+        "minhash_lsh_dedup": (
+            lambda ds: minhash_lsh_dedup(ds)[0].to_pandas(),
+            _minhash_twin),
+        # these inputs have no pair at Hamming 1-4 (only exact copies
+        # at 0, then 5 and up), so 8 puts pairs on both sides of the cut
+        "simhash_candidates": (
+            lambda ds: simhash_candidates(ds, max_hamming=8),
+            lambda df: _simhash_twin(df, max_hamming=8)),
     }
 
 
 def _canon(df: pd.DataFrame) -> pd.DataFrame:
-    return df.sort_values("doc_id").reset_index(drop=True)
+    by = ["id_a", "id_b"] if "id_a" in df else "doc_id"
+    return df.sort_values(by).reset_index(drop=True)
 
 
-def _collect(ds) -> pd.DataFrame:
-    """The rows of ``ds`` with its columns even at 0 rows (Ray Data's
-    ``to_pandas`` drops the columns of an all-empty Dataset)."""
+def _collect(out) -> pd.DataFrame:
+    """The rows of a Dataset ``out`` with its columns even at 0 rows (Ray
+    Data's ``to_pandas`` drops the columns of an all-empty Dataset); a
+    frame as it is. A 0-row input block gives a 0-column output block,
+    which is skipped."""
     import ray
 
-    return pa.concat_tables(ray.get(ds.to_arrow_refs())).to_pandas()
+    if isinstance(out, pd.DataFrame):
+        return out
+    return pa.concat_tables([t for t in ray.get(out.to_arrow_refs())
+                             if t.num_columns]).to_pandas()
 
 
 @pytest.mark.parametrize("dup_rate", [0.0, 0.5, 0.95])
@@ -85,17 +152,17 @@ def test_dedup_family_k_parity(ray_session, dup_docs, reduce_at_budget,
                                monkeypatch, boilerplate_twin,
                                paragraphs_twin, dup_rate):
     """Each site runs at K = 1 and at a budget of a third of its partial
-    bytes (K = 4) while ``Dataset.to_pandas``, ``iter_batches`` and
-    ``groupby`` raise on the driver; both outputs equal the naive
-    twin."""
+    bytes (K = 4) on blocks with a 0-row one among them, while
+    ``Dataset.to_pandas``, ``iter_batches`` and ``groupby`` raise on the
+    driver; both outputs equal the naive twin (for minhash_lsh_dedup
+    its dup_table, for simhash_candidates its pairs)."""
     import ray.data as rd
 
     from dqm_ray.state.reduce import SMALL_REDUCE_BYTES
 
     t = dup_docs(600, dup_rate, seed=int(dup_rate * 100) + 2)
-    key = pd.util.hash_array(t.column("text").to_numpy(zero_copy_only=False))
-    t = t.append_column("key", pa.array(key.view(np.int64)))
-    blocks = [t.slice(0, 250), t.slice(250, 250), t.slice(500)]
+    blocks = [t.slice(0, 250), t.slice(0, 0), t.slice(250, 250),
+              t.slice(500)]
     df = t.to_pandas()
 
     def on_driver(*a, **k):
@@ -106,7 +173,7 @@ def test_dedup_family_k_parity(ray_session, dup_docs, reduce_at_budget,
         with monkeypatch.context() as m:
             for name in ("to_pandas", "iter_batches", "groupby"):
                 m.setattr(rd.Dataset, name, on_driver)
-            run = lambda: op(rd.from_arrow(blocks)).materialize()  # noqa
+            run = lambda: _materialized(op(rd.from_arrow(blocks)))  # noqa
             one, k1, nbytes, _ = reduce_at_budget(SMALL_REDUCE_BYTES, run,
                                                   what)
             four, k4, _, _ = reduce_at_budget(nbytes // 3, run, what)
@@ -116,6 +183,12 @@ def test_dedup_family_k_parity(ray_session, dup_docs, reduce_at_budget,
             got = _canon(_collect(out))
             pd.testing.assert_frame_equal(got, expected[got.columns],
                                           obj=what)
+
+
+def _materialized(out):
+    import ray.data as rd
+
+    return out.materialize() if isinstance(out, rd.Dataset) else out
 
 
 def _partials():
@@ -332,3 +405,35 @@ def test_map_task_worker_exit_is_retried(ray_session, dup_docs, tmp_path):
     assert os.path.exists(marker)
     pd.testing.assert_frame_equal(_canon(_collect(out)),
                                   _canon(_first_wins_twin(t.to_pandas())))
+
+
+def test_oversized_doc_through_exact_then_boilerplate(ray_session, dup_docs,
+                                                      boilerplate_twin):
+    """One 33.6 MiB doc of 800k lines sits in a block next to small docs,
+    and its copy in another block: exact_dedup -> remove_boilerplate_lines
+    gives the naive twins' output (the copy goes, and the big doc loses
+    its banner lines that are frequent among the winners)."""
+    import ray.data as rd
+
+    from dqm_ray.functions.boilerplate import remove_boilerplate_lines
+    from dqm_ray.functions.dedup import exact_dedup
+
+    small = dup_docs(200, 0.3, seed=31)
+    big = "\n".join(
+        f"shared banner line number {i % 12:02d}" if i % 1000 == 0
+        else f"line {i:08d} of the one oversized document"
+        for i in range(800_000))
+    assert len(big) >= 32 << 20
+    docs = pa.table({"doc_id": pa.array([10_000, 10_001], pa.int64()),
+                     "text": pa.array([big, big], pa.string())})
+    blocks = [pa.concat_tables([small.slice(0, 100), docs.slice(0, 1)]),
+              pa.concat_tables([docs.slice(1, 1), small.slice(100)])]
+
+    out = remove_boilerplate_lines(exact_dedup(rd.from_arrow(blocks)),
+                                   min_len=10, min_docs=20)
+    got = _canon(_collect(out))
+    expected = boilerplate_twin(
+        _first_wins_twin(pa.concat_tables(blocks).to_pandas()), 10, 20)
+    assert 10_001 not in set(got["doc_id"])
+    assert expected.loc[expected["doc_id"] == 10_000, "n_removed"].item()
+    pd.testing.assert_frame_equal(got, _canon(expected))

@@ -1,16 +1,21 @@
 """Measure ``state.reduce.reduce_partials`` as the partial bytes grow:
-wall seconds of the whole reduce, the K it chose, and the peak RSS of
-every task that ran the op's reduce function (VmRSS and private
-RssAnon, sampled every 5 ms from the start of the call — the task's
-concatenated partials are already resident then).
+wall seconds of the whole reduce, the K it chose, the output rows and
+the peak RSS of every task that ran the op's reduce function (VmRSS and
+private RssAnon, sampled every 5 ms from the start of the call — the
+task's concatenated partials are already resident then).
 
 It reduces synthetic partials with the schema each op's combine emits
-(generated inside Ray tasks in 64k-row blocks, so the driver holds none
-of them) through that op's own reduce function and key:
+(generated inside Ray tasks in 64k-row blocks, 16k for minhash, so the
+driver holds none of them) through that op's own reduce function and key:
 
 - ``exact_dedup``: (doc_id, 32-byte sha256), a third of the keys
   repeated;
-- ``boilerplate``: (h1, h2, n), 2% of the pairs a shared pool.
+- ``boilerplate``: (h1, h2, n), 2% of the pairs a shared pool;
+- ``minhash``: the pair reduce of ``minhash_lsh_dedup`` over candidate
+  band rows (doc_id, bucket_key, 128-perm uint64 signature, ~1 KB a
+  row) in buckets of 2-4 members, a third of them exact copies and the
+  rest differing in 10% or 30% of their permutations. Unlike the other
+  two, its output (pairs) can grow faster than its input.
 
 One JSON line per measurement. Run one op and one size per process for
 a fresh set of workers (worker reuse carries RSS over between runs).
@@ -75,8 +80,8 @@ def _sampled(reduce, out_dir: str):
             peak[k] = max(peak[k], v)
         path = os.path.join(out_dir, f"{os.getpid()}-{time.time_ns()}.json")
         with open(path, "w") as f:
-            json.dump({"rows": table.num_rows, "start": start,
-                       "peak": peak}, f)
+            json.dump({"rows": table.num_rows, "out": value.num_rows,
+                       "start": start, "peak": peak}, f)
         return value
 
     return run
@@ -113,6 +118,35 @@ def _gen_lines(batch):
     return pa.concat_tables(out)
 
 
+def _gen_minhash(batch):
+    num_perm = 128
+    out = []
+    for b in batch["id"]:
+        rng = np.random.default_rng(int(b))
+        # 16k rows (~16 MiB) a block, so sizes near the budget are reachable
+        sizes = rng.integers(2, 5, BLOCK_ROWS // 8)
+        sizes = sizes[: np.searchsorted(np.cumsum(sizes), BLOCK_ROWS // 4)]
+        bucket = np.repeat(np.arange(len(sizes)), sizes)
+        n = len(bucket)
+        sig = rng.integers(0, 1 << 63, (len(sizes), num_perm),
+                           dtype=np.uint64)[bucket]
+        rate = rng.choice([0.0, 0.1, 0.3], n)[:, None]
+        edit = rng.random((n, num_perm)) < rate
+        sig[edit] = rng.integers(0, 1 << 63, int(edit.sum()), np.uint64)
+        out.append(pa.table({
+            "doc_id": pa.array(rng.integers(0, 1 << 40, n)),
+            "bucket_key": pa.array(rng.integers(-(1 << 62), 1 << 62,
+                                                len(sizes))[bucket]),
+            "sig": pa.FixedSizeListArray.from_arrays(
+                pa.array(sig.ravel(), pa.uint64()), num_perm)}))
+    return pa.concat_tables(out)
+
+
+_OPS = {"exact_dedup": (_gen_exact, "exact_dedup"),
+        "boilerplate": (_gen_lines, "remove_boilerplate_lines"),
+        "minhash": (_gen_minhash, "minhash_lsh_dedup")}
+
+
 @ray.remote(num_returns=2)
 def _gen_block(gen, i: int):
     """Partial block ``i`` and its (rows, bytes), as an op's map task
@@ -122,16 +156,19 @@ def _gen_block(gen, i: int):
 
 
 def _reduce_fn(op: str):
-    """The (reduce, key) pair ``op`` hands to ``reduce_partials``."""
+    """The (reduce, key) pair ``op`` hands to ``reduce_partials`` (for
+    minhash, its pair reduce)."""
     import ray.data as rd
 
     import dqm_ray.state.reduce as reduce_mod
 
+    target = _OPS[op][1]
     captured = {}
     real = reduce_mod.reduce_partials
 
     def capture(partials, meta, reduce, *, key, what):
-        captured.update(reduce=reduce, key=key)
+        if what == target:
+            captured.update(reduce=reduce, key=key)
         return real(partials, meta, reduce, key=key, what=what)
 
     tiny = rd.from_arrow(pa.table({"doc_id": pa.array([1]),
@@ -141,6 +178,9 @@ def _reduce_fn(op: str):
         if op == "exact_dedup":
             from dqm_ray.functions.dedup import exact_dedup
             exact_dedup(tiny)
+        elif op == "minhash":
+            from dqm_ray.functions.dedup import minhash_lsh_dedup
+            minhash_lsh_dedup(tiny)
         else:
             from dqm_ray.functions.boilerplate import (
                 remove_boilerplate_lines)
@@ -163,7 +203,7 @@ class _LastK(logging.Handler):
 
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("op", choices=("exact_dedup", "boilerplate"))
+    ap.add_argument("op", choices=sorted(_OPS))
     ap.add_argument("mib")
     ap.add_argument("--reps", type=int, default=2)
     ap.add_argument("--num-cpus", type=int, default=os.cpu_count())
@@ -181,12 +221,11 @@ def main() -> None:
     log.addHandler(last_k)
     log.setLevel(logging.INFO)
     reduce, key = _reduce_fn(args.op)
-    gen = _gen_exact if args.op == "exact_dedup" else _gen_lines
-    probe = gen({"id": [0]})
-    row_bytes = probe.nbytes / probe.num_rows
+    gen = _OPS[args.op][0]
+    block_bytes = gen({"id": [0]}).nbytes
     try:
         for mib in (float(m) for m in args.mib.split(",")):
-            nblocks = max(1, round(mib * (1 << 20) / row_bytes / BLOCK_ROWS))
+            nblocks = max(1, round(mib * (1 << 20) / block_bytes))
             pairs = [_gen_block.remote(gen, i) for i in range(nblocks)]
             parts = [p for p, _ in pairs]
             meta = ray.get([m for _, m in pairs])
@@ -209,7 +248,8 @@ def main() -> None:
                     k=last_k.k, reduce_tasks=len(tasks),
                     peak_rss=max(t["peak"]["VmRSS"] for t in tasks),
                     peak_anon=max(t["peak"]["RssAnon"] for t in tasks),
-                    task_rows=sorted(t["rows"] for t in tasks))
+                    task_rows=sorted(t["rows"] for t in tasks),
+                    out_rows=sum(t["out"] for t in tasks))
                 print(json.dumps(rec), flush=True)
                 del value
             del parts, pairs
