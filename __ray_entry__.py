@@ -461,7 +461,7 @@ def _q_join_order_lines(sf_dir: str):
     orders = orders.map_batches(
         lambda t: t.rename_columns(["orderkey", "o_orderpriority"]),
         batch_format="pyarrow")
-    joined = partitioned_hash_join(li, orders, on="orderkey", num_buckets=32)
+    joined = partitioned_hash_join(li, orders, on="orderkey")
 
     def partial(batch: pa.Table) -> pa.Table:
         import pandas as pd
@@ -552,10 +552,10 @@ def _q_union_counts(sf_dir: str):
 def _q_user_sessions(sf_dir: str):
     """Sessionization (streaming-window shape): per user, count sessions
     separated by >30 min gaps. Uses the hash-part windowing runner
-    (dqm_ray/functions/windows.py): 64 co-location parts, ONE lexsorted
-    numpy pass per part — not one pandas group per user (the
-    many-tiny-groups pathology the naive groupby(user).map_groups
-    shape has at web scale)."""
+    (dqm_ray/functions/windows.py): the keyed reduce's K co-location
+    parts, ONE lexsorted numpy pass per part — not one pandas group per
+    user (the many-tiny-groups pathology the naive
+    groupby(user).map_groups shape has at web scale)."""
     import ray.data as rd
     from dqm_ray.functions.windows import sessionize
 
@@ -2030,10 +2030,11 @@ def _q_events_in_window(sf_dir: str):
 
 def _q_windowed_counts(sf_dir: str):
     """Same contract as events_in_window (same-user events in the 30
-    minutes before each purchase, inclusive) computed in ONE all-to-all
-    instead of two: windows.windowed_count co-locates by user and
-    resolves every anchor window with two searchsorted probes per part
-    — the scale-preferred shape when the window key is the join key."""
+    minutes before each purchase, inclusive) computed in ONE keyed
+    reduce instead of a join plus a groupby: windows.windowed_count
+    co-locates by user and resolves every anchor window with two
+    searchsorted probes per part — the scale-preferred shape when the
+    window key is the join key."""
     import pyarrow.compute as pc
     import ray.data as rd
 

@@ -25,8 +25,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from dqm_ray.partitioning import num_parts as _auto_parts
-
 # ---------------------------------------------------------------------------
 # exact dedup
 # ---------------------------------------------------------------------------
@@ -455,11 +453,11 @@ def _verified_pairs(rows: pa.Table, *, id_col: str,
 
 
 def connected_components(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
-                         num_buckets: int = 32, max_iter: int = 50):
+                         max_iter: int = 50):
     """Distributed connected components by iterative min-label
     propagation: every round each node adopts the minimum label among
     itself and its neighbors, expressed as a partitioned hash join
-    (adjacency x labels, bucket-grouped — no per-node groups) followed by
+    (adjacency x labels on hash parts — no per-node groups) followed by
     ``groupby(node).min(label)``. Converges in O(graph diameter) rounds;
     each round shuffles only compact (node, label) int64 rows, and the
     monotone non-increasing label sum detects convergence with one cheap
@@ -500,8 +498,7 @@ def connected_components(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
             lambda t: pa.table({"nbr": t.column("node"),
                                 "label": t.column("label")}),
             batch_format="pyarrow")
-        msgs = partitioned_hash_join(adj, lab_by_nbr, on="nbr",
-                                     num_buckets=num_buckets)
+        msgs = partitioned_hash_join(adj, lab_by_nbr, on="nbr")
         contrib = msgs.map_batches(
             lambda t: t.select(["node", "label"]), batch_format="pyarrow")
         labels = labels.union(contrib).groupby("node").min("label")
@@ -631,8 +628,7 @@ def minhash_lsh_dedup(ds, *, id_col: str = "doc_id", text_col: str = "text",
 
 
 def canonical_docs(ds, dup_table: pa.Table, *, id_col: str = "doc_id",
-                   text_col: str = "text",
-                   n_parts: int | None = None):
+                   text_col: str = "text"):
     """Cluster canonicalization: for every near-dup cluster in
     ``dup_table`` (id → dup_group, e.g. minhash_lsh_dedup's output),
     select the member to KEEP by quality instead of first-wins —
@@ -642,16 +638,16 @@ def canonical_docs(ds, dup_table: pa.Table, *, id_col: str = "doc_id",
 
     Scale shape: the member→group map broadcasts once (bounded by the
     dup-member count — the same artifact minhash already produced); ONE
-    content pass scores only member rows and reduces each batch to one
-    candidate row per (cluster ∩ batch); the final merge is the 64-way
-    hash-part reduce (vectorized lexsort-first per part, no per-tiny-
-    group map_groups dispatch). Only (group, id, score, n) rows ever
-    shuffle."""
+    content pass scores only member rows and reduces each block to one
+    candidate row per (cluster ∩ block); the final merge is a keyed
+    reduce on ``dup_group`` (:func:`~dqm_ray.state.reduce.keyed_parts`:
+    vectorized lexsort-first per hash part, no per-tiny-group
+    dispatch). Only (group, id, score, n) rows leave the map tasks."""
     import ray
 
     from dqm_ray.functions.text import quality_score_batch
+    from dqm_ray.state.reduce import keyed_parts, sorted_member
 
-    n_parts = n_parts or _auto_parts()
     mids = dup_table.column(id_col).to_numpy(zero_copy_only=False) \
         .astype(np.int64)
     mgrp = dup_table.column("dup_group") \
@@ -663,24 +659,19 @@ def canonical_docs(ds, dup_table: pa.Table, *, id_col: str = "doc_id",
         m_ids, m_grp = ray.get(ref)
         bids = batch.column(id_col).to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        if len(m_ids):
-            pos = np.minimum(np.searchsorted(m_ids, bids), len(m_ids) - 1)
-            member = m_ids[pos] == bids
-        else:
-            member = np.zeros(len(bids), bool)
-        sub = batch.filter(pa.array(member))
-        if sub.num_rows == 0:
+        member = sorted_member(m_ids, bids)
+        if not member.any():
             return pa.table({
                 "dup_group": pa.array([], pa.int64()),
                 "cand_id": pa.array([], pa.int64()),
                 "cand_score": pa.array([], pa.float64()),
-                "n": pa.array([], pa.int64()),
-                "part": pa.array([], pa.int32())})
-        scored = quality_score_batch(sub, text_col=text_col)
+                "n": pa.array([], pa.int64())})
+        scored = quality_score_batch(batch.filter(pa.array(member)),
+                                     text_col=text_col)
         s = scored.column("quality_score") \
             .to_numpy(zero_copy_only=False)
         sids = bids[member]
-        g = m_grp[pos[member]]
+        g = m_grp[np.searchsorted(m_ids, sids)]
         o = np.lexsort((sids, -s, g))     # g, then score desc, then id
         gg, ss, ii = g[o], s[o], sids[o]
         first = np.ones(len(gg), bool)
@@ -692,31 +683,24 @@ def canonical_docs(ds, dup_table: pa.Table, *, id_col: str = "doc_id",
             "cand_id": pa.array(ii[first], pa.int64()),
             "cand_score": pa.array(ss[first], pa.float64()),
             "n": pa.array(n, pa.int64()),
-            "part": pa.array((pd.util.hash_array(gg[first])
-                              % n_parts).astype(np.int32)),
         })
 
-    def reduce_part(df: pd.DataFrame) -> pd.DataFrame:
-        g = df["dup_group"].to_numpy()
-        s = df["cand_score"].to_numpy()
-        i = df["cand_id"].to_numpy()
-        n = df["n"].to_numpy()
+    def reduce_part(t: pa.Table) -> pa.Table:
+        g, s, i, n = (t.column(c).to_numpy()
+                      for c in ("dup_group", "cand_score", "cand_id", "n"))
         o = np.lexsort((i, -s, g))
         gg, ss, ii, nn = g[o], s[o], i[o], n[o]
         first = np.ones(len(gg), bool)
         first[1:] = gg[1:] != gg[:-1]
         starts = np.nonzero(first)[0]
-        tot = np.add.reduceat(nn, starts) if len(starts) else \
-            np.empty(0, np.int64)
-        return pd.DataFrame({
+        return pa.table({
             "dup_group": gg[first],
             "canonical_id": ii[first],
             "quality_score": ss[first],
-            "n_members": tot.astype(np.int64)})
+            "n_members": np.add.reduceat(nn, starts).astype(np.int64)})
 
-    return ds.map_batches(partial, batch_format="pyarrow", num_cpus=1) \
-        .groupby("part") \
-        .map_groups(reduce_part, batch_format="pandas")
+    return keyed_parts([(ds, partial)], reduce_part, key="dup_group",
+                       what="canonical_docs")
 
 
 # ---------------------------------------------------------------------------

@@ -363,19 +363,18 @@ def incremental_neardup(ds, index_dir: str, *, text_col: str = "text",
 
 
 def corpus_diff(old_ds, new_ds, *, id_col: str = "doc_id",
-                text_col: str = "text", n_parts: int | None = None):
+                text_col: str = "text"):
     """Generation diff report: per id, status in
     {added, removed, changed, same} between two corpus snapshots —
     the audit step between ingests (what did this crawl actually do?).
 
     Scale shape: each side collapses to (id, h1, h2, side) — 25 B/doc,
-    content never shuffles — and one hash-part lexsorted pass emits the
-    verdicts (ids are unique per side, so runs have length 1 or 2; a
+    content never leaves its map task — and one lexsorted pass per hash
+    part keyed on id (:func:`~dqm_ray.state.reduce.keyed_parts`) emits
+    the verdicts (ids are unique per side, so runs have length 1 or 2; a
     64-bit-pair hash equality stands in for text equality at the
     documented 2^-128 bound). Returns (id_col, status)."""
-    from dqm_ray.partitioning import num_parts
-
-    n_parts = n_parts or num_parts()
+    from dqm_ray.state.reduce import keyed_parts
 
     def sig_side(side: int):
         def f(batch: pa.Table) -> pa.Table:
@@ -388,28 +387,19 @@ def corpus_diff(old_ds, new_ds, *, id_col: str = "doc_id",
                 "h1": pa.array(h1, pa.int64()),
                 "h2": pa.array(h2, pa.int64()),
                 "side": pa.array(np.full(len(ids), side, np.int8)),
-                "part": pa.array(
-                    (pd.util.hash_array(ids) % n_parts).astype(np.int32)),
             })
         return f
 
-    both = old_ds.map_batches(sig_side(0), batch_format="pyarrow",
-                              num_cpus=1) \
-        .union(new_ds.map_batches(sig_side(1), batch_format="pyarrow",
-                                  num_cpus=1))
-
-    def verdicts(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df[id_col].to_numpy()
-        side = df["side"].to_numpy()
-        h1 = df["h1"].to_numpy()
-        h2 = df["h2"].to_numpy()
+    def verdicts(old: pa.Table, new: pa.Table) -> pa.Table:
+        t = pa.concat_tables([old, new])
+        ids, side, h1, h2 = (t.column(c).to_numpy()
+                             for c in (id_col, "side", "h1", "h2"))
         o = np.lexsort((side, ids))
         ids, side, h1, h2 = ids[o], side[o], h1[o], h2[o]
         first = np.ones(len(ids), bool)
         first[1:] = ids[1:] != ids[:-1]
         starts = np.nonzero(first)[0]
         lens = np.diff(np.r_[starts, len(ids)])
-        out_ids = ids[starts]
         status = np.empty(len(starts), object)
         solo = lens == 1
         status[solo & (side[starts] == 0)] = "removed"
@@ -418,7 +408,8 @@ def corpus_diff(old_ds, new_ds, *, id_col: str = "doc_id",
         ps = starts[pair]
         same = (h1[ps] == h1[ps + 1]) & (h2[ps] == h2[ps + 1])
         status[pair] = np.where(same, "same", "changed")
-        return pd.DataFrame({id_col: out_ids, "status": status})
+        return pa.table({id_col: ids[starts],
+                         "status": pa.array(status, pa.string())})
 
-    return both.groupby("part").map_groups(verdicts,
-                                           batch_format="pandas")
+    return keyed_parts([(old_ds, sig_side(0)), (new_ds, sig_side(1))],
+                       verdicts, key=id_col, what="corpus_diff")

@@ -4,14 +4,13 @@
   side once, map each batch against it — the ChannelMap lookup analog
   (built once, probed by every transmit — include/dqm/ChannelMap.hpp:28-29,
   include/dqm/ChannelStream.hpp:169-196). No shuffle at all.
-- **Partitioned hash join** (both sides large): add
-  ``bucket = hash(key) % B`` to both sides, union them with a side tag,
-  group by bucket, and join bucket-locally inside ``map_groups``. One
-  shuffle each side, skew bounded by B.
+- **Partitioned hash join** (both sides large): both sides run on the
+  keyed reduce's hash parts (:func:`dqm_ray.state.reduce.keyed_parts`,
+  K from the bytes the map tasks emit); part i joins the left side's
+  part i with the right side's, each side with its own columns.
 
 ``Dataset.join`` exists in recent Ray; the explicit forms below are the
-portable, skew-controllable patterns and keep the partitioning
-assumption visible.
+portable patterns and keep the partitioning assumption visible.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
+from dqm_ray.functions.windows import to_us
 
 
 def broadcast_join(ds, small_df: pd.DataFrame, *, on: str,
@@ -40,355 +39,251 @@ def broadcast_join(ds, small_df: pd.DataFrame, *, on: str,
                           batch_size=batch_size)
 
 
-def partitioned_hash_join(left, right, *, on: str, num_buckets: int = 32,
-                          suffix: str = "_r"):
+def partitioned_hash_join(left, right, *, on: str, suffix: str = "_r"):
     """Explicit partitioned hash join of two Datasets on an int64 key.
 
-    Scale note: both sides shuffle once, keyed by ``hash(key) % B``;
-    pick B ≈ cluster cores and salt hot keys upstream if a single key
-    exceeds a worker's memory.
+    Scale note: both sides co-locate by ``on`` on K hash parts, K from
+    their bytes; salt hot keys upstream if a single key exceeds a
+    worker's memory.
     """
+    from dqm_ray.state.reduce import keyed_parts
 
-    # capture each side's schema up front: the mixed-schema union fills
-    # the other side's columns with nulls, and guessing them back via
-    # dropna (the old pandas path) silently promoted int64 to float64 —
-    # corrupting ids beyond 2^53 (hash-derived keys at corpus scale)
-    lcols = list(left.schema().names)
-    rcols = list(right.schema().names)
-
-    def tag(side: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            key = batch.column(on).to_numpy(zero_copy_only=False)
-            bucket = (pd.util.hash_array(key.astype(np.int64))
-                      % num_buckets).astype(np.int32)
-            out = batch.append_column("__bucket", pa.array(bucket, pa.int32()))
-            return out.append_column(
-                "__side", pa.array(np.full(len(batch), side, np.int8)))
-        return fn
-
-    both = left.map_batches(tag(0), batch_format="pyarrow").union(
-        right.map_batches(tag(1), batch_format="pyarrow"))
-    rnames = [c if c == on else (c + suffix if c in set(lcols) else c)
-              for c in rcols]
-
-    def join_bucket(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        side = g.column("__side")
-        l = g.filter(pc.equal(side, 0)).select(lcols)
-        r = g.filter(pc.equal(side, 1)).select(rcols) \
-            .rename_columns(rnames)
+    def join_part(l: pa.Table, r: pa.Table) -> pa.Table:
+        r = r.rename_columns([c + suffix if c != on and c in l.column_names
+                              else c for c in r.column_names])
         # arrow-native join: int64 keys/payloads stay int64 end to end
         return l.join(r, keys=on, join_type="inner")
 
-    return both.groupby("__bucket").map_groups(join_bucket,
-                                               batch_format="pyarrow")
+    return keyed_parts([(left, _whole), (right, _whole)], join_part,
+                       key=on, what="partitioned_hash_join")
+
+
+def _whole(batch: pa.Table) -> pa.Table:
+    return batch
+
+
+def _distinct_keys(batch: pa.Table, *, col: str) -> pa.Table:
+    return pa.table({col: batch.column(col).unique().drop_null()
+                     .cast(pa.int64(), safe=False)})
+
+
+def _drop_members(batch: pa.Table, keys: tuple, *, col: str) -> pa.Table:
+    from dqm_ray.state.reduce import sorted_member
+
+    v = batch.column(col).to_numpy(zero_copy_only=False).astype(np.int64)
+    return batch.filter(pa.array(~sorted_member(keys[0], v)))
 
 
 def anti_join(left, right, *, on: str, right_on: str | None = None):
     """Left anti join: rows of ``left`` with no match in ``right`` —
     the NOT EXISTS / EXCEPT shape dedup and compliance filters need.
 
-    Scale shape: the right side reduces to DISTINCT keys via one
-    key-only groupby (the shuffle moves 8 B rows), the distinct-key set
-    broadcasts once via ``ray.put`` as a sorted int64 array, and the
-    left side filters in place per batch with a vectorized searchsorted
-    probe — the left (payload) side never shuffles. Scale bound: 8 B x
-    |distinct right keys| in the object store (same documented bound as
-    exact_dedup's winner set); past ~10^10 distinct keys switch to the
-    bucketed-layout co-located join (sources/bucketed.py) and emit the
-    unmatched side there.
+    Scale shape: the right side reduces to its DISTINCT int64 keys on
+    plain Ray tasks (:func:`~dqm_ray.state.reduce.map_reduce`: per-block
+    distinct keys, then a keyed reduce), which stay in the object store
+    as one sorted array; one task per left block filters it in place
+    with a searchsorted probe — the left (payload) side never shuffles
+    and no key reaches the driver. Scale bound: 8 B x |distinct right
+    keys| per left task (same documented bound as exact_dedup's winner
+    set); past ~10^10 distinct keys switch to the bucketed-layout
+    co-located join (sources/bucketed.py) and emit the unmatched side
+    there.
 
     Reference parity: the inverse of the ChannelMap admission lookup —
     frames whose channel is NOT in the map are dropped before analysis
     (include/dqm/ChannelMapFiller.hpp fill + Pipeline check chain).
     """
-    import pyarrow.compute as pc  # noqa: F401 (vectorized probe below)
+    import functools
+
+    import ray.data as rd
+
+    from dqm_ray.state.reduce import dataset_blocks, map_blocks, map_reduce
 
     ron = right_on or on
-    keys_df = right.select_columns([ron]).groupby(ron).count().to_pandas()
-    # an empty right side can surface as a 0-column DataFrame
-    keys = (np.sort(keys_df[ron].to_numpy().astype(np.int64))
-            if ron in keys_df.columns else np.empty(0, np.int64))
-    ref = ray.put(keys)
+    distinct = functools.partial(_distinct_keys, col=ron)
+    blocks, empty = dataset_blocks(right)
+    keys, _ = map_reduce(blocks, distinct, distinct, key=ron,
+                         what="anti_join", empty=empty)
+    blocks, empty = dataset_blocks(left)
+    out, _ = map_blocks(functools.partial(_drop_members, col=on), blocks,
+                        keys, empty=empty)
+    return rd.from_arrow_refs(out)
 
-    def flt(batch: pa.Table) -> pa.Table:
-        k = ray.get(ref)
-        if len(k) == 0:
-            return batch
-        v = batch.column(on).to_numpy(zero_copy_only=False).astype(np.int64)
-        idx = np.minimum(np.searchsorted(k, v), len(k) - 1)
-        return batch.filter(pa.array(k[idx] != v))
 
-    return left.map_batches(flt, batch_format="pyarrow")
+def _typed(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
+    """pandas -> arrow with the declared types: integer columns that
+    picked up NaN (no asof match) become int64 WITH NULLS, never
+    float64."""
+    cols = {}
+    for c, t in zip(schema.names, schema.types):
+        s = df[c]
+        if pa.types.is_integer(t) and s.dtype.kind == "f":
+            m = s.isna().to_numpy()
+            cols[c] = pa.array(
+                np.where(m, 0, s.to_numpy()).astype(np.int64),
+                type=t, mask=m)
+        else:
+            cols[c] = pa.array(s, type=t, from_pandas=True)
+    return pa.table(cols)
+
+
+def _backward_match(lt: pa.Table, rt: pa.Table, *, by: str, on: str,
+                    tb: str | None):
+    """Per left row, the index of its backward as-of match in ``rt``
+    (null where none), or None when the packed key would overflow.
+
+    Composite-searchsorted asof: factorize ``by`` over BOTH sides, pack
+    (code, on) into one int64, and resolve every left row with a single
+    searchsorted over the right side — merge_asof(by=) walks a per-key
+    Cython path that is several times slower on many-key parts. Equal
+    (by, on) ties: right sorted stable ascending by tiebreak,
+    searchsorted('right')-1 lands on the max-tiebreak row — the
+    documented contract."""
+    if not rt.num_rows:
+        return pa.nulls(lt.num_rows, pa.int64())
+    lo_np, ro_np = to_us(lt.column(on)), to_us(rt.column(on))
+    codes, _ = pd.factorize(np.concatenate(
+        [lt.column(by).to_numpy(), rt.column(by).to_numpy()]))
+    lc = codes[:lt.num_rows].astype(np.int64)
+    rc = codes[lt.num_rows:].astype(np.int64)
+    t0 = int(min(lo_np.min(), ro_np.min()))
+    span = int(max(lo_np.max(), ro_np.max())) - t0 + 2
+    if int(codes.max() + 1) * span >= 2 ** 63:
+        return None
+    rsort = np.lexsort(((rt.column(tb).to_numpy() if tb
+                         else np.zeros(rt.num_rows)), ro_np, rc))
+    r_comp = rc[rsort] * span + (ro_np[rsort] - t0)
+    pos = np.searchsorted(r_comp, lc * span + (lo_np - t0),
+                          side="right") - 1
+    valid = (pos >= 0) & (rc[rsort][np.maximum(pos, 0)] == lc)
+    # a masked index: unmatched left rows take TYPED nulls in the right
+    # value columns (int64 stays int64-with-nulls)
+    return pa.array(rsort[np.maximum(pos, 0)].astype(np.int64),
+                    pa.int64(), mask=~valid)
 
 
 def asof_join(left, right, *, by: str, on: str, suffix: str = "_r",
-              direction: str = "backward", tiebreak: str | None = None,
-              num_parts: int | None = None):
+              direction: str = "backward", tiebreak: str | None = None):
     """As-of join: for each left row, the most recent right row with
     ``right.on <= left.on`` within the same ``by`` key (direction
     'backward'; pandas merge_asof semantics).
 
     Tie contract: when several right rows share the winning ``on`` value,
     the row with the greatest ``tiebreak`` value wins (pass the right
-    side's unique id column). Without a tiebreak, ties retain Ray's
-    nondeterministic block-arrival order — fine for analytics, NOT
-    reproducible run-to-run; always pass one when output hashes matter.
+    side's unique id column). Without a tiebreak, ties retain the right
+    side's block order — fine for analytics, NOT reproducible
+    run-to-run; always pass one when output hashes matter.
 
     Partitioning assumption (documented per SURVEY custom-operator
-    rule): both sides co-locate by ``hash(by) % P`` via one union +
-    part groupby — a part holds MANY keys, and each part runs ONE
-    vectorized ``merge_asof(..., by=by)`` pass over all of them (the
-    windows.py shape; never one pandas dispatch per key — that is the
-    many-tiny-groups pathology, VERDICT r3 item 5). P defaults to
-    ``partitioning.num_parts()`` (2× cluster CPUs); a hot ``by`` key
-    bounds per-part memory — salt upstream if one key exceeds a worker.
+    rule): both sides co-locate by ``by`` on the keyed reduce's K hash
+    parts (K from their bytes) — a part holds MANY keys, and each part
+    runs ONE vectorized pass over all of them (the windows.py shape;
+    never one pandas dispatch per key — that is the many-tiny-groups
+    pathology, VERDICT r3 item 5). Each part gets each side with its own
+    columns, so no side's schema is padded to the other's. A hot ``by``
+    key bounds per-part memory — salt upstream if one key exceeds a
+    worker.
     """
-    from dqm_ray.partitioning import num_parts as _np_default
+    from dqm_ray.state.reduce import keyed_parts
 
-    P = num_parts or _np_default()
-    lsch, rsch = left.schema(), right.schema()
-    ltypes = dict(zip(lsch.names, lsch.types))
-    lcols = list(lsch.names)
-    rcols = list(rsch.names)
-    r_renamed = {c: (c + suffix if c in lcols and c not in (by, on) else c)
-                 for c in rcols}
-    r_value_cols = [r_renamed[c] for c in rcols if c not in (by, on)]
-    # renamed right column -> its ORIGINAL arrow type (by/on take the
-    # left side's types at tag time — merge_asof requires that anyway)
-    rtypes = {r_renamed[c]: t for c, t in zip(rsch.names, rsch.types)}
-    tb = r_renamed.get(tiebreak, tiebreak) if tiebreak else None
-    # both sides emit the FULL union schema with typed nulls — Ray's
-    # union does not align schemas, and a pandas group assembled from
-    # mixed-schema blocks NaN-fills the missing columns, silently
-    # promoting int64 ids to float64 (the partitioned_hash_join /
-    # interval_join lesson; this exact drift kept asof_prior_view
-    # driver-red for three rounds: `58.0` stringifies != BIGINT `58`)
-    out_fields = [(c, ltypes[c]) for c in lcols] + \
-        [(c, rtypes[c]) for c in r_value_cols]
-    out_schema = pa.schema(out_fields)
-
-    def part_of(batch: pa.Table) -> pa.array:
-        k = batch.column(by).to_numpy(zero_copy_only=False)
-        if k.dtype.kind in "iu":
-            k = k.astype(np.int64)
-        return pa.array((pd.util.hash_array(k) % P).astype(np.int32))
-
-    def tag_left(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        cols = {c: batch.column(c) for c in lcols}
-        for c in r_value_cols:
-            cols[c] = pa.nulls(n, rtypes[c])
-        cols["__part"] = part_of(batch)
-        cols["__side"] = pa.array(np.zeros(n, np.int8))
-        return pa.table(cols)
-
-    def tag_right(batch: pa.Table) -> pa.Table:
-        batch = batch.rename_columns(
-            [r_renamed[c] for c in batch.column_names])
-        n = len(batch)
-        cols = {}
-        for c in lcols:
-            cols[c] = (batch.column(c).cast(ltypes[c])
-                       if c in (by, on) else pa.nulls(n, ltypes[c]))
-        for c in r_value_cols:
-            cols[c] = batch.column(c)
-        cols["__part"] = part_of(batch)
-        cols["__side"] = pa.array(np.ones(n, np.int8))
-        return pa.table(cols)
-
-    both = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.map_batches(tag_right, batch_format="pyarrow"))
-
-    def typed_table(df: pd.DataFrame) -> pa.Table:
-        # pandas -> arrow with the declared output types: integer
-        # columns that picked up NaN (no asof match) become int64 WITH
-        # NULLS, never float64 — keeps every part's schema identical
-        cols = {}
-        for c, t in out_fields:
-            s = df[c]
-            if pa.types.is_integer(t) and s.dtype.kind == "f":
-                m = s.isna().to_numpy()
-                cols[c] = pa.array(
-                    np.where(m, 0, s.to_numpy()).astype(np.int64),
-                    type=t, mask=m)
-            else:
-                cols[c] = pa.array(s, type=t, from_pandas=True)
-        return pa.table(cols)
-
-    def join_part(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        side = g.column("__side")
-        # split sides in ARROW first: each side's own columns are
-        # null-free after the filter, so to_pandas keeps exact dtypes
-        lt = g.filter(pc.equal(side, 0)).select(lcols)
-        rt = g.filter(pc.equal(side, 1)).select([by, on, *r_value_cols])
-        if lt.num_rows == 0:
+    def join_part(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        lcols = lt.column_names
+        renamed = {c: (c + suffix if c in lcols and c not in (by, on)
+                       else c) for c in rt.column_names}
+        rt = rt.rename_columns([renamed[c] for c in rt.column_names])
+        r_value_cols = [renamed[c] for c in renamed if c not in (by, on)]
+        out_schema = pa.schema(
+            [lt.schema.field(c) for c in lcols]
+            + [rt.schema.field(c) for c in r_value_cols])
+        if not lt.num_rows:
             return out_schema.empty_table()
-        l = lt.to_pandas()
-        r = rt.to_pandas()
-        if direction == "backward" and len(r):
-            # composite-searchsorted asof (the windowed_count packing):
-            # factorize keys over BOTH sides, pack (code, on) into one
-            # int64, and resolve every left row with a single
-            # searchsorted over the right side — merge_asof(by=) walks
-            # a per-key Cython path that is several times slower on
-            # many-key parts. Equal (by, on) ties: right sorted stable
-            # ascending by tiebreak, searchsorted('right')-1 lands on
-            # the max-tiebreak row — the documented contract.
-            lo_np = l[on].to_numpy()
-            ro_np = r[on].to_numpy()
-            if np.issubdtype(lo_np.dtype, np.datetime64):
-                lo_np = lo_np.astype("datetime64[us]").astype(np.int64)
-                ro_np = ro_np.astype("datetime64[us]").astype(np.int64)
-            else:
-                lo_np, ro_np = lo_np.astype(np.int64), ro_np.astype(np.int64)
-            codes, _ = pd.factorize(
-                np.concatenate([l[by].to_numpy(), r[by].to_numpy()]))
-            lc, rc = codes[:len(l)].astype(np.int64), \
-                codes[len(l):].astype(np.int64)
-            t0 = int(min(lo_np.min(), ro_np.min()))
-            span = int(max(lo_np.max(), ro_np.max())) - t0 + 2
-            if int(codes.max() + 1) * span < 2 ** 63:
-                rsort = np.lexsort(
-                    ((r[tb].to_numpy() if tb else np.zeros(len(r))),
-                     ro_np, rc))
-                r_comp = rc[rsort] * span + (ro_np[rsort] - t0)
-                pos = np.searchsorted(
-                    r_comp, lc * span + (lo_np - t0), side="right") - 1
-                valid = (pos >= 0) & (rc[rsort][np.maximum(pos, 0)] == lc)
-                # arrow take with a masked index: unmatched left rows get
-                # TYPED nulls in the right value columns (int64 stays
-                # int64-with-nulls; float64 never appears)
-                idx = pa.array(rsort[np.maximum(pos, 0)].astype(np.int64),
-                               pa.int64(), mask=~valid)
-                cols = {c: lt.column(c) for c in lcols}
-                for c in r_value_cols:
-                    cols[c] = rt.column(c).take(idx)
-                return pa.table(cols)
+        tb = renamed.get(tiebreak, tiebreak) if tiebreak else None
+        idx = _backward_match(lt, rt, by=by, on=on, tb=tb) \
+            if direction == "backward" else None
+        if idx is not None:
+            cols = {c: lt.column(c) for c in lcols}
+            for c in r_value_cols:
+                cols[c] = rt.column(c).take(idx)
+            return pa.table(cols)
         # fallback (forward/nearest directions, or packing overflow):
         # merge_asof(by=...) needs both frames sorted by `on` globally;
         # within equal (by, on), the LAST right row wins, so a stable
         # sort ascending by tiebreak makes the max-tiebreak row win.
-        l = l.sort_values(on, kind="mergesort")
-        r = r.sort_values([on, tb] if tb else on, kind="mergesort")
+        l = lt.to_pandas().sort_values(on, kind="mergesort")
+        r = rt.select([by, on, *r_value_cols]).to_pandas() \
+            .sort_values([on, tb] if tb else on, kind="mergesort")
         r[on] = r[on].astype(l[on].dtype)
         r[by] = r[by].astype(l[by].dtype)
-        return typed_table(
-            pd.merge_asof(l, r, on=on, by=by, direction=direction))
+        return _typed(pd.merge_asof(l, r, on=on, by=by,
+                                    direction=direction), out_schema)
 
-    return both.groupby("__part").map_groups(join_part,
-                                             batch_format="pyarrow")
+    return keyed_parts([(left, _whole), (right, _whole)], join_part,
+                       key=by, what="asof_join")
 
 
 def interval_join(intervals, points, *, by: str, start_col: str,
                   end_col: str, point_col: str, int_id: str,
-                  point_id: str, bin_width_us: int,
-                  num_parts: int | None = None):
+                  point_id: str, bin_width_us: int):
     """Pairs (int_id, point_id) where ``by`` matches and
     ``start <= point <= end`` — the range-join Ray Data lacks natively.
 
     Binning strategy: time is cut into ``bin_width_us`` bins; every
     interval row emits one row per bin it touches, every point row
-    emits exactly one bin, and candidates co-locate via a hash-part
-    groupby on (by, bin) — the pandas merge + range filter runs on one
-    whole part per call (many tiny (by, bin) groups per invocation,
-    never one task per group). A point lives in exactly one bin, so a
-    pair can only surface once: no dedup pass needed.
+    emits exactly one bin, and candidates co-locate on the keyed
+    reduce's hash parts by one int64 derived from (by, bin) — the arrow
+    join + range filter runs on one whole part per call (many tiny
+    (by, bin) groups per invocation, never one task per group). A point
+    lives in exactly one bin, so a pair can only surface once: no dedup
+    pass needed.
 
     Partitioning assumptions (document per deployment): interval length
     should be O(bin_width) — an interval emits len/bin_width + 1 rows;
     and a hot (by, bin) pair concentrates its candidates in one part,
     so salt the ``by`` key upstream if a single key x bin exceeds a
-    worker's memory. ``num_parts`` defaults adaptively
-    (partitioning.num_parts, 2× cluster CPUs) — results are
-    part-count-invariant (pure hash co-location).
+    worker's memory. K follows the bytes of the tagged rows; results
+    are part-count-invariant (pure hash co-location).
     """
-    from dqm_ray.partitioning import num_parts as _np_default
+    from dqm_ray.state.reduce import key_bits, keyed_parts
 
-    num_parts = num_parts or _np_default()
+    def keyed(t: pa.Table) -> pa.Table:
+        # one int64 per (key, bin): equal pairs share a part
+        kb = key_bits(t.column("key")) ^ (
+            t.column("bin").to_numpy().view(np.uint64)
+            * np.uint64(0xBF58476D1CE4E5B9))
+        return t.append_column("kb", pa.array(kb.view(np.int64)))
 
-    def to_us(arr) -> np.ndarray:
-        a = arr.to_numpy(zero_copy_only=False)
-        if np.issubdtype(a.dtype, np.datetime64):
-            return a.astype("datetime64[us]").astype(np.int64)
-        return a.astype(np.int64)
-
-    # both sides emit the FULL union schema with typed nulls — Ray's
-    # union does not align schemas, and a shuffle block holding only one
-    # side would otherwise lack the other side's columns (int64 ids stay
-    # int64; no pandas null→float64 promotion, the partitioned_hash_join
-    # lesson)
     def tag_intervals(batch: pa.Table) -> pa.Table:
         s = to_us(batch.column(start_col))
         e = to_us(batch.column(end_col))
-        b0, b1 = s // bin_width_us, e // bin_width_us
-        reps = (b1 - b0 + 1).astype(np.int64)
+        b0 = s // bin_width_us
+        reps = np.maximum(e // bin_width_us - b0 + 1, 0)
         rows = np.repeat(np.arange(len(batch)), reps)
-        bins = np.concatenate([np.arange(x, y + 1)
-                               for x, y in zip(b0, b1)]) \
-            if len(batch) else np.zeros(0, np.int64)
-        n = len(rows)
-        return pa.table({
-            "key": batch.column(by).take(pa.array(rows)),
-            "bin": pa.array(bins, pa.int64()),
-            "iid": batch.column(int_id).take(pa.array(rows))
-                   .cast(pa.int64()),
-            "s": pa.array(s[rows]),
-            "e": pa.array(e[rows]),
-            "pid": pa.nulls(n, pa.int64()),
-            "p": pa.nulls(n, pa.int64()),
-        })
+        first = np.repeat(np.cumsum(reps) - reps, reps)
+        return keyed(pa.table({
+            "key": batch.column(by).take(rows),
+            "bin": b0[rows] + (np.arange(len(rows)) - first),
+            "iid": batch.column(int_id).take(rows).cast(pa.int64()),
+            "s": s[rows],
+            "e": e[rows],
+        }))
 
     def tag_points(batch: pa.Table) -> pa.Table:
         p = to_us(batch.column(point_col))
-        n = len(batch)
-        return pa.table({
+        return keyed(pa.table({
             "key": batch.column(by),
-            "bin": pa.array(p // bin_width_us, pa.int64()),
-            "iid": pa.nulls(n, pa.int64()),
-            "s": pa.nulls(n, pa.int64()),
-            "e": pa.nulls(n, pa.int64()),
+            "bin": p // bin_width_us,
             "pid": batch.column(point_id).cast(pa.int64()),
-            "p": pa.array(p),
-        })
+            "p": p,
+        }))
 
-    def _with_part_and_side(batch: pa.Table, side: int) -> pa.Table:
-        k = batch.column("key").to_numpy(zero_copy_only=False)
-        b = batch.column("bin").to_numpy(zero_copy_only=False)
-        part = ((pd.util.hash_array(k.astype(np.int64))
-                 ^ pd.util.hash_array(b.astype(np.int64)))
-                % num_parts).astype(np.int32)
-        return batch.append_column("part", pa.array(part, pa.int32())) \
-            .append_column("side", pa.array(
-                np.full(len(batch), side, np.int8)))
-
-    # ONE fused map_batches per side: tag + part + side in-process —
-    # three chained stages would hand every tagged block through the
-    # object store twice more for no reason
-    left = intervals.map_batches(
-        lambda t: _with_part_and_side(tag_intervals(t), 0),
-        batch_format="pyarrow")
-    right = points.map_batches(
-        lambda t: _with_part_and_side(tag_points(t), 1),
-        batch_format="pyarrow")
-
-    def join_part(g: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        side = g.column("side")
-        l = g.filter(pc.equal(side, 0)) \
-            .select(["key", "bin", "iid", "s", "e"])
-        r = g.filter(pc.equal(side, 1)) \
-            .select(["key", "bin", "pid", "p"])
-        j = l.join(r, keys=["key", "bin"], join_type="inner")
-        p = j.column("p").to_numpy(zero_copy_only=False)
-        s = j.column("s").to_numpy(zero_copy_only=False)
-        e = j.column("e").to_numpy(zero_copy_only=False)
-        j = j.filter(pa.array((p >= s) & (p <= e)))
+    def join_part(l: pa.Table, r: pa.Table) -> pa.Table:
+        j = l.drop_columns(["kb"]).join(r.drop_columns(["kb"]),
+                                        keys=["key", "bin"],
+                                        join_type="inner")
+        p = j.column("p").to_numpy()
+        j = j.filter(pa.array((p >= j.column("s").to_numpy())
+                              & (p <= j.column("e").to_numpy())))
         return j.select(["iid", "pid"]).rename_columns([int_id, point_id])
 
-    return left.union(right).groupby("part") \
-        .map_groups(join_part, batch_format="pyarrow")
+    return keyed_parts([(intervals, tag_intervals), (points, tag_points)],
+                       join_part, key="kb", what="interval_join")

@@ -1,12 +1,14 @@
 """Per-key ordered windowing (sessions, lag/deltas) at scale.
 
-The naive shape — ``groupby(key).map_groups(fn)`` with one pandas group
-per user — is the many-tiny-groups pathology (millions of per-group
-dispatches, one task per key). Instead every operator here co-locates
-keys with a 64-way hash-part groupby and runs ONE vectorized pass per
-part: lexsort the part by ``(key, order_col)``, then compute gaps /
-lags with ``np.diff`` masked at key boundaries. The shuffle moves only
-the columns the window needs (key, order, value), never payloads.
+The naive shape — a per-key groupby with one pandas group per user —
+is the many-tiny-groups pathology (millions of per-group dispatches,
+one task per key). Instead every operator here runs on the
+keyed reduce's hash parts (:func:`dqm_ray.state.reduce.keyed_parts`:
+K from the bytes the map tasks emit, plain Ray tasks) and runs ONE
+vectorized pass per part: lexsort the part by ``(key, order_col)``,
+then compute gaps / lags with ``np.diff`` masked at key boundaries. The
+map tasks keep only the columns the window needs (key, order, value),
+never payloads.
 
 Reference parity: the reference evaluates per-channel streams in record
 order inside a single process (ChannelStream run loop,
@@ -17,51 +19,60 @@ equivalent of its per-channel iteration.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
-def _with_part(ds, key_col: str, n_parts: int | None = None):
-    from dqm_ray.partitioning import num_parts
+def _per_key(ds, cols: list, fn, *, key_col: str, what: str):
+    """``fn`` over the hash parts (keyed on ``key_col``) of ``ds``'s
+    columns ``cols``; returns the Dataset of its outputs."""
+    from dqm_ray.state.reduce import keyed_parts
 
-    P = n_parts or num_parts()
+    return keyed_parts([(ds, lambda b: b.select(cols))], fn, key=key_col,
+                       what=what)
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).to_numpy(zero_copy_only=False)
-        if k.dtype.kind in "iu":
-            k = k.astype(np.int64)
-        part = (pd.util.hash_array(k) % P).astype(np.int32)
-        return batch.append_column("part", pa.array(part, pa.int32()))
 
-    return ds.map_batches(add_part, batch_format="pyarrow")
+def to_us(col) -> np.ndarray:
+    """int64 microseconds of a timestamp column; an integer as is."""
+    a = col.to_numpy()
+    if np.issubdtype(a.dtype, np.datetime64):
+        a = a.astype("datetime64[us]")
+    return a.astype(np.int64)
+
+
+def _run_starts(*cols: np.ndarray) -> np.ndarray:
+    """True where a row of the sorted ``cols`` starts a new run of equal
+    values."""
+    new = np.zeros(len(cols[0]), bool)
+    new[:1] = True
+    for c in cols:
+        new[1:] |= c[1:] != c[:-1]
+    return new
 
 
 def sessionize(ds, *, key_col: str = "user_id", ts_col: str = "ts",
-               gap_minutes: int = 30, n_parts: int | None = None):
+               gap_minutes: int = 30):
     """Per-key session count: sessions are maximal runs of events with
     consecutive gaps <= ``gap_minutes``. One vectorized pass per
     hash-part; a part holds MANY keys (bounded #groups, no per-key
     dispatch)."""
-    gap = np.timedelta64(gap_minutes * 60, "s")
+    gap = gap_minutes * 60 * 1_000_000
 
-    def part_sessions(df: pd.DataFrame) -> pd.DataFrame:
-        k = df[key_col].to_numpy()
-        ts = df[ts_col].to_numpy()
+    def part_sessions(t: pa.Table) -> pa.Table:
+        k = t.column(key_col).to_numpy()
+        ts = to_us(t.column(ts_col))
         order = np.lexsort((ts, k))
         k, ts = k[order], ts[order]
-        if not len(k):
-            return pd.DataFrame({key_col: k, "n_sessions": np.empty(0, np.int64)})
-        new_key = np.ones(len(k), dtype=bool)
-        new_key[1:] = k[1:] != k[:-1]
+        new_key = _run_starts(k)
         breaks = new_key.copy()
         breaks[1:] |= (ts[1:] - ts[:-1]) > gap
-        uk = k[new_key]
         n = np.bincount(np.cumsum(new_key) - 1, weights=breaks) \
             .astype(np.int64)
-        return pd.DataFrame({key_col: uk, "n_sessions": n})
+        return pa.table({key_col: t.column(key_col).take(order[new_key]),
+                         "n_sessions": n})
 
-    return _with_part(ds, key_col, n_parts).groupby("part") \
-        .map_groups(part_sessions, batch_format="pandas")
+    return _per_key(ds, [key_col, ts_col], part_sessions, key_col=key_col,
+                    what="sessionize")
 
 
 def key_deltas(ds, *, key_col: str = "user_id", ts_col: str = "ts"):
@@ -75,25 +86,16 @@ def key_deltas(ds, *, key_col: str = "user_id", ts_col: str = "ts"):
     order-independent and the derived mean is bitwise-identical to the
     SQL oracle's ``SUM(gap_us)/n/1e6`` with no rounding fudge."""
 
-    def part_deltas(df: pd.DataFrame) -> pd.DataFrame:
-        k = df[key_col].to_numpy()
-        ts = df[ts_col].to_numpy()
+    def part_deltas(t: pa.Table) -> pa.Table:
+        k = t.column(key_col).to_numpy()
+        ts = to_us(t.column(ts_col))
         order = np.lexsort((ts, k))
         k, ts = k[order], ts[order]
-        if not len(k):
-            return pd.DataFrame({
-                key_col: k,
-                "n_events": np.empty(0, np.int64),
-                "mean_gap_s": np.empty(0, np.float64),
-                "max_gap_s": np.empty(0, np.float64)})
-        new_key = np.ones(len(k), dtype=bool)
-        new_key[1:] = k[1:] != k[:-1]
+        new_key = _run_starts(k)
         seg = np.cumsum(new_key) - 1
-        uk = k[new_key]
         n_events = np.bincount(seg).astype(np.int64)
         d_us = np.zeros(len(k), np.int64)
-        d_us[1:] = (ts[1:] - ts[:-1]).astype("timedelta64[us]") \
-            .astype(np.int64)
+        d_us[1:] = ts[1:] - ts[:-1]
         d_us[new_key] = 0
         sum_us = np.bincount(seg, weights=d_us)  # integer-valued floats
         # per-segment max via maximum.reduceat over segment starts
@@ -104,14 +106,21 @@ def key_deltas(ds, *, key_col: str = "user_id", ts_col: str = "ts"):
         mean_gap = np.where(
             has, sum_us / np.maximum(n_gaps, 1) / 1e6, -1.0)
         max_gap = np.where(has, max_us / 1e6, -1.0)
-        return pd.DataFrame({
-            key_col: uk,
+        return pa.table({
+            key_col: t.column(key_col).take(order[starts]),
             "n_events": n_events,
             "mean_gap_s": mean_gap,
             "max_gap_s": max_gap})
 
-    return _with_part(ds, key_col).groupby("part") \
-        .map_groups(part_deltas, batch_format="pandas")
+    return _per_key(ds, [key_col, ts_col], part_deltas, key_col=key_col,
+                    what="key_deltas")
+
+
+def _window_start(ts: np.ndarray, window_minutes: int) -> np.ndarray:
+    """The tumbling-window start (datetime64[us]) of every timestamp."""
+    ts = ts.astype("datetime64[us]")
+    return ts - ((ts - np.datetime64(0, "us"))
+                 % np.timedelta64(window_minutes * 60, "s"))
 
 
 def rate_limit(ds, *, key_col: str = "user_id", ts_col: str = "ts",
@@ -122,102 +131,74 @@ def rate_limit(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     breaks timestamp ties deterministically — same contract as the
     as-of join fix).
 
-    Same scale shape as the other window ops: 64-way hash-part
-    co-location, ONE lexsort pass per part, rank via run-start
-    subtraction — no per-key dispatch; the shuffle moves only
-    (key, ts, id). Emits (key, id, window_start, rn). Reference
-    parity: the reference throttles per-channel export cadence per
-    poll window (fake_app_confgen.py cadence/size pairs).
+    Same scale shape as the other window ops: hash-part co-location,
+    ONE lexsort pass per part, rank via run-start subtraction — no
+    per-key dispatch; the map tasks keep only (key, ts, id). Emits
+    (key, id, window_start, rn). Reference parity: the reference
+    throttles per-channel export cadence per poll window
+    (fake_app_confgen.py cadence/size pairs).
     """
-    w = np.timedelta64(window_minutes * 60, "s")
 
-    def part_limit(df: pd.DataFrame) -> pd.DataFrame:
-        key = df[key_col].to_numpy()
-        ts = df[ts_col].to_numpy()
-        ids = df[id_col].to_numpy().astype(np.int64)
-        win = ts.astype("datetime64[us]")
-        win = win - ((win - np.datetime64(0, "us")) % w)
+    def part_limit(t: pa.Table) -> pa.Table:
+        key = t.column(key_col).to_numpy()
+        ts = t.column(ts_col).to_numpy()
+        ids = t.column(id_col).to_numpy().astype(np.int64)
+        win = _window_start(ts, window_minutes)
         order = np.lexsort((ids, ts, win, key))
-        key, ts, ids, win = (key[order], ts[order], ids[order],
-                             win[order])
-        if not len(key):
-            return pd.DataFrame({key_col: key, id_col: ids,
-                                 "window_start": win,
-                                 "rn": np.empty(0, np.int64)})
-        new_run = np.ones(len(key), dtype=bool)
-        new_run[1:] = (key[1:] != key[:-1]) | (win[1:] != win[:-1])
-        starts = np.nonzero(new_run)[0]
+        key, win = key[order], win[order]
+        starts = np.nonzero(_run_starts(key, win))[0]
         seg_len = np.diff(np.r_[starts, len(key)])
         rn = np.arange(len(key)) - np.repeat(starts, seg_len)
         keep = rn < k
-        return pd.DataFrame({key_col: key[keep], id_col: ids[keep],
-                             "window_start": win[keep],
-                             "rn": (rn[keep] + 1).astype(np.int64)})
+        return pa.table({key_col: t.column(key_col).take(order[keep]),
+                         id_col: ids[order[keep]],
+                         "window_start": win[keep],
+                         "rn": (rn[keep] + 1).astype(np.int64)})
 
-    return _with_part(ds, key_col).groupby("part") \
-        .map_groups(part_limit, batch_format="pandas")
+    return _per_key(ds, [key_col, ts_col, id_col], part_limit,
+                    key_col=key_col, what="rate_limit")
 
 
 def trending(ds, *, ts_col: str = "ts", key_col: str = "event_type",
-             window_minutes: int = 60, k: int = 3,
-             n_parts: int | None = None):
+             window_minutes: int = 60, k: int = 3):
     """Top-k keys per tumbling window by count — the "what's trending
     this hour" op. Tie contract: count DESC, key ASC.
 
-    Scale shape: per-batch partial counts collapse each batch to its
-    distinct (window, key) pairs; one bounded groupby-sum merges them
-    (cardinality = windows x keys, never rows); the per-window top-k
-    is a hash-part reduce with ONE lexsort per part (no per-window
+    Scale shape: one keyed reduce on ``window_start``. Every map task
+    collapses its block to per-(window, key) partial counts
+    (cardinality = windows x keys, never rows); each hash part sums
+    them and takes the per-window top-k with ONE lexsort (no per-window
     dispatch). Emits (window_start, key, n, rank 1..k)."""
-    import pyarrow as pa
-    from ray.data.aggregate import Sum
+    from dqm_ray.state.reduce import keyed_parts
 
-    from dqm_ray.partitioning import num_parts
+    def partial(b: pa.Table) -> pa.Table:
+        # a null key or ts joins no window
+        b = b.filter(pc.and_(pc.is_valid(b.column(ts_col)),
+                             pc.is_valid(b.column(key_col))))
+        win = _window_start(b.column(ts_col).to_numpy(), window_minutes)
+        return pa.table({"window_start": win, key_col: b.column(key_col)}) \
+            .group_by(["window_start", key_col]) \
+            .aggregate([([], "count_all")])
 
-    n_parts = n_parts or num_parts()
-    w = np.timedelta64(window_minutes * 60, "s")
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ts = batch.column(ts_col).to_numpy(zero_copy_only=False) \
-            .astype("datetime64[us]")
-        win = ts - ((ts - np.datetime64(0, "us")) % w)
-        key = batch.column(key_col).to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({"window_start": win, key_col: key})
-        g = df.groupby(["window_start", key_col], sort=False) \
-            .size().reset_index(name="n")
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    counts = ds.map_batches(partial, batch_format="pyarrow",
-                            num_cpus=1) \
-        .groupby(["window_start", key_col]) \
-        .aggregate(Sum("n", alias_name="n"))
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        win = batch.column("window_start") \
-            .to_numpy(zero_copy_only=False).astype("datetime64[us]") \
-            .view(np.int64)
-        part = (pd.util.hash_array(win) % n_parts).astype(np.int32)
-        return batch.append_column("part", pa.array(part, pa.int32()))
-
-    def topk(df: pd.DataFrame) -> pd.DataFrame:
-        win = df["window_start"].to_numpy()
-        key = df[key_col].to_numpy()
-        n = df["n"].to_numpy().astype(np.int64)
+    def topk(t: pa.Table) -> pa.Table:
+        g = t.group_by(["window_start", key_col]) \
+            .aggregate([("count_all", "sum")])
+        win = g.column("window_start").to_numpy()
+        key = g.column(key_col).to_numpy()
+        n = g.column("count_all_sum").to_numpy()
         order = np.lexsort((key, -n, win))
-        win, key, n = win[order], key[order], n[order]
-        new_run = np.ones(len(win), dtype=bool)
-        new_run[1:] = win[1:] != win[:-1]
-        starts = np.nonzero(new_run)[0]
+        win, n = win[order], n[order]
+        starts = np.nonzero(_run_starts(win))[0]
         seg_len = np.diff(np.r_[starts, len(win)])
         rn = np.arange(len(win)) - np.repeat(starts, seg_len) + 1
         keep = rn <= k
-        return pd.DataFrame({
-            "window_start": win[keep].astype("datetime64[us]"),
-            key_col: key[keep],
+        return pa.table({
+            "window_start": win[keep],
+            key_col: g.column(key_col).take(order[keep]),
             "n": n[keep], "rank": rn[keep].astype(np.int64)})
 
-    return counts.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("part").map_groups(topk, batch_format="pandas")
+    return keyed_parts([(ds, partial)], topk, key="window_start",
+                       what="trending")
 
 
 def funnel(ds, *, user_col: str = "user_id", ts_col: str = "ts",
@@ -227,18 +208,16 @@ def funnel(ds, *, user_col: str = "user_id", ts_col: str = "ts",
     same user has a view with ``click.ts - W < view.ts <= click.ts``.
     Emits (user, n_clicks, n_converted) for users with >= 1 click.
 
-    Scale shape: the usual 64-way user co-location + ONE lexsort per
-    part; the last-view lookup is a segmented running max expressed as
+    Scale shape: user co-location on hash parts + ONE lexsort per part;
+    the last-view lookup is a segmented running max expressed as
     ``np.maximum.accumulate`` over view positions with a segment-start
     validity check — no per-user dispatch, no self-join."""
-    w_us = np.timedelta64(window_minutes * 60, "s") \
-        .astype("timedelta64[us]").astype(np.int64)
+    w_us = window_minutes * 60 * 1_000_000
 
-    def part_funnel(df: pd.DataFrame) -> pd.DataFrame:
-        u = df[user_col].to_numpy()
-        t = df[ts_col].to_numpy().astype("datetime64[us]") \
-            .astype(np.int64)
-        typ = df[type_col].to_numpy()
+    def part_funnel(tb: pa.Table) -> pa.Table:
+        u = tb.column(user_col).to_numpy()
+        t = to_us(tb.column(ts_col))
+        typ = tb.column(type_col).to_numpy()
         is_view = typ == view
         is_click = typ == click
         # views sort before clicks at equal (user, ts): same-ts views
@@ -246,12 +225,7 @@ def funnel(ds, *, user_col: str = "user_id", ts_col: str = "ts",
         o = np.lexsort((is_click, t, u))
         u, t, is_view, is_click = u[o], t[o], is_view[o], is_click[o]
         n = len(u)
-        if n == 0:
-            return pd.DataFrame({user_col: u,
-                                 "n_clicks": np.empty(0, np.int64),
-                                 "n_converted": np.empty(0, np.int64)})
-        new_seg = np.ones(n, dtype=bool)
-        new_seg[1:] = u[1:] != u[:-1]
+        new_seg = _run_starts(u)
         starts = np.nonzero(new_seg)[0]
         seg_len = np.diff(np.r_[starts, n])
         seg_start = np.repeat(starts, seg_len)
@@ -267,129 +241,111 @@ def funnel(ds, *, user_col: str = "user_id", ts_col: str = "ts",
         n_conv = np.bincount(seg_id[converted],
                              minlength=len(starts)).astype(np.int64)
         keep = n_clicks > 0
-        return pd.DataFrame({user_col: u[starts][keep],
-                             "n_clicks": n_clicks[keep],
-                             "n_converted": n_conv[keep]})
+        return pa.table({
+            user_col: tb.column(user_col).take(o[starts[keep]]),
+            "n_clicks": n_clicks[keep],
+            "n_converted": n_conv[keep]})
 
-    return _with_part(ds, user_col).groupby("part") \
-        .map_groups(part_funnel, batch_format="pandas")
+    return _per_key(ds, [user_col, ts_col, type_col], part_funnel,
+                    key_col=user_col, what="funnel")
+
+
+def _bisect(v: np.ndarray, lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
+            right: bool) -> np.ndarray:
+    """Per query i, the first position in the sorted ``v[lo[i]:hi[i]]``
+    whose value is above ``x[i]`` (``right``) or at or above it: one
+    vectorized bisection step over every query per halving."""
+    lo, hi = lo.copy(), hi.copy()
+    while (act := lo < hi).any():
+        mid = (lo + hi) // 2
+        vm = v[np.where(act, mid, 0)]
+        below = act & ((vm <= x) if right else (vm < x))
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(act & ~below, mid, hi)
+    return lo
+
+
+def _window_bounds(t: pa.Table, key_col: str, ts_col: str,
+                   anchor_col: str, window_us: int):
+    """The probe of the three ``windowed_*`` ops: sort a part's rows by
+    (key, ts); returns ``(order, anchors, lo, hi)``: ``order`` the sort,
+    ``anchors`` the sorted positions of the anchor rows, and
+    ``[lo, hi)`` per anchor the sorted positions of the same-key rows
+    with ``ts in [anchor_ts - window_us, anchor_ts]``: two bisections
+    of the ts within the anchor's key run. Exact at any key count and
+    ts span: nothing is packed."""
+    key = t.column(key_col).to_numpy()
+    ts = to_us(t.column(ts_col))
+    order = np.lexsort((ts, key))
+    anchors = np.nonzero(t.column(anchor_col).to_numpy()
+                         .astype(bool)[order])[0]
+    ts = ts[order]
+    starts = _run_starts(key[order])
+    run = np.cumsum(starts) - 1
+    starts = np.nonzero(starts)[0]
+    s = starts[run[anchors]]
+    e = np.r_[starts[1:], len(ts)][run[anchors]]
+    ta = ts[anchors]
+    t_lo = np.maximum(ta, np.iinfo(np.int64).min + window_us) - window_us
+    return (order, anchors, _bisect(ts, s, e, t_lo, right=False),
+            _bisect(ts, s, e, ta, right=True))
 
 
 def windowed_count(ds, *, key_col: str = "user_id", ts_col: str = "ts",
-                   anchor_col: str, id_col: str, window_us: int,
-                   n_parts: int | None = None):
+                   anchor_col: str, id_col: str, window_us: int):
     """For each anchor row, the count of same-key rows with
     ``ts in [anchor_ts - window_us, anchor_ts]`` (inclusive; the anchor
     itself counts). Returns (id_col, n) for anchor rows only.
 
-    ONE all-to-all, vs two for the equivalent
+    ONE keyed reduce, vs two for the equivalent
     ``interval_join(...).groupby().count()``: keys co-locate by hash
     part, each part is lexsorted once by (key, ts), and every anchor's
-    window resolves with two ``np.searchsorted`` probes against a
-    composite ``rank*span + (ts - t0)`` key — exact lexicographic
-    (key, ts) order packed into int64. ``span`` is the part's local ts
-    range, so the packing overflows only if distinct-keys-per-part x
-    ts-range exceeds 2^63 — raise ``n_parts`` in that case (the guard
-    raises with that advice; pure co-location keeps results
-    part-count-invariant)."""
+    window resolves with two ``np.searchsorted`` probes
+    (:func:`_window_bounds`)."""
 
-    def part_count(df: pd.DataFrame) -> pd.DataFrame:
-        k = df[key_col].to_numpy()
-        t = df[ts_col].to_numpy()
-        if np.issubdtype(t.dtype, np.datetime64):
-            t = t.astype("datetime64[us]").astype(np.int64)
-        else:
-            t = t.astype(np.int64)
-        a = df[anchor_col].to_numpy().astype(bool)
-        ids = df[id_col].to_numpy()
-        if not len(k):
-            return pd.DataFrame({id_col: ids,
-                                 "n": np.empty(0, np.int64)})
-        order = np.lexsort((t, k))
-        k, t, a, ids = k[order], t[order], a[order], ids[order]
-        new_key = np.ones(len(k), dtype=bool)
-        new_key[1:] = k[1:] != k[:-1]
-        rank = np.cumsum(new_key) - 1          # dense key rank, sorted
-        t0 = int(t.min())
-        span = int(t.max()) - t0 + 2
-        if int(rank[-1] + 1) * span >= 2 ** 63:
-            raise ValueError(
-                f"windowed_count composite-key overflow: "
-                f"{int(rank[-1] + 1)} keys x ts-span {span} in one part; "
-                "raise n_parts so each part holds fewer keys")
-        comp = rank * span + (t - t0)
-        ra, ta = rank[a], t[a]
-        hi = np.searchsorted(comp, ra * span + (ta - t0), side="right")
-        lo = np.searchsorted(
-            comp, ra * span + np.maximum(ta - window_us - t0, 0),
-            side="left")
-        return pd.DataFrame({id_col: ids[a],
-                             "n": (hi - lo).astype(np.int64)})
+    def part_count(t: pa.Table) -> pa.Table:
+        order, anchors, lo, hi = _window_bounds(t, key_col, ts_col,
+                                                anchor_col, window_us)
+        return pa.table({id_col: t.column(id_col).take(order[anchors]),
+                         "n": (hi - lo).astype(np.int64)})
 
-    return _with_part(ds, key_col, n_parts).groupby("part") \
-        .map_groups(part_count, batch_format="pandas")
+    return _per_key(ds, [key_col, ts_col, anchor_col, id_col], part_count,
+                    key_col=key_col, what="windowed_count")
 
 
 def windowed_sum(ds, *, key_col: str = "user_id", ts_col: str = "ts",
                  anchor_col: str, id_col: str, value_col: str,
-                 window_us: int, n_parts: int | None = None):
+                 window_us: int):
     """For each anchor row, the SUM of ``value_col`` (int64 — use
     integer micro-units for money/float values, the repo's exactness
     rule) over same-key rows with ``ts in [anchor_ts - window_us,
     anchor_ts]``. Returns (id_col, win_sum).
 
-    Same one-shuffle shape as :func:`windowed_count`; the window sum
+    Same one-reduce shape as :func:`windowed_count`; the window sum
     falls out of an exclusive prefix sum over the part's sorted values:
     ``csum[hi] - csum[lo]`` at the two searchsorted probe positions —
     exact, since int64 addition is associative (float values would make
     the result depend on accumulation order; the API refuses them)."""
 
-    def part_sum(df: pd.DataFrame) -> pd.DataFrame:
-        k = df[key_col].to_numpy()
-        t = df[ts_col].to_numpy()
-        if np.issubdtype(t.dtype, np.datetime64):
-            t = t.astype("datetime64[us]").astype(np.int64)
-        else:
-            t = t.astype(np.int64)
-        v = df[value_col].to_numpy()
+    def part_sum(t: pa.Table) -> pa.Table:
+        v = t.column(value_col).to_numpy()
         if v.dtype.kind not in "iu":
             raise TypeError(
                 f"windowed_sum needs an integer value column (got "
                 f"{v.dtype}); quantize floats to micro-units upstream")
-        v = v.astype(np.int64)
-        a = df[anchor_col].to_numpy().astype(bool)
-        ids = df[id_col].to_numpy()
-        if not len(k):
-            return pd.DataFrame({id_col: ids,
-                                 "win_sum": np.empty(0, np.int64)})
-        order = np.lexsort((t, k))
-        k, t, v, a, ids = k[order], t[order], v[order], a[order], ids[order]
-        new_key = np.ones(len(k), dtype=bool)
-        new_key[1:] = k[1:] != k[:-1]
-        rank = np.cumsum(new_key) - 1
-        t0 = int(t.min())
-        span = int(t.max()) - t0 + 2
-        if int(rank[-1] + 1) * span >= 2 ** 63:
-            raise ValueError(
-                "windowed_sum composite-key overflow; raise n_parts")
-        comp = rank * span + (t - t0)
-        csum = np.concatenate(([0], np.cumsum(v)))
-        ra, ta = rank[a], t[a]
-        hi = np.searchsorted(comp, ra * span + (ta - t0), side="right")
-        lo = np.searchsorted(
-            comp, ra * span + np.maximum(ta - window_us - t0, 0),
-            side="left")
-        return pd.DataFrame({id_col: ids[a],
-                             "win_sum": csum[hi] - csum[lo]})
+        order, anchors, lo, hi = _window_bounds(t, key_col, ts_col,
+                                                anchor_col, window_us)
+        csum = np.concatenate(([0], np.cumsum(v[order].astype(np.int64))))
+        return pa.table({id_col: t.column(id_col).take(order[anchors]),
+                         "win_sum": csum[hi] - csum[lo]})
 
-    return _with_part(ds, key_col, n_parts).groupby("part") \
-        .map_groups(part_sum, batch_format="pandas")
+    return _per_key(ds, [key_col, ts_col, anchor_col, id_col, value_col],
+                    part_sum, key_col=key_col, what="windowed_sum")
 
 
 def windowed_extreme(ds, *, key_col: str = "user_id", ts_col: str = "ts",
                      anchor_col: str, id_col: str, value_col: str,
-                     window_us: int, mode: str = "max",
-                     n_parts: int | None = None):
+                     window_us: int, mode: str = "max"):
     """For each anchor row, the MAX (or MIN) of ``value_col`` over
     same-key rows with ``ts in [anchor_ts - window_us, anchor_ts]``.
     Returns (id_col, win_extreme). Unlike :func:`windowed_sum` this is
@@ -407,36 +363,11 @@ def windowed_extreme(ds, *, key_col: str = "user_id", ts_col: str = "ts",
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
 
-    def part_extreme(df: pd.DataFrame) -> pd.DataFrame:
+    def part_extreme(t: pa.Table) -> pa.Table:
         reduce_fn = np.maximum if mode == "max" else np.minimum
-        k = df[key_col].to_numpy()
-        t = df[ts_col].to_numpy()
-        if np.issubdtype(t.dtype, np.datetime64):
-            t = t.astype("datetime64[us]").astype(np.int64)
-        else:
-            t = t.astype(np.int64)
-        v = df[value_col].to_numpy()
-        a = df[anchor_col].to_numpy().astype(bool)
-        ids = df[id_col].to_numpy()
-        if not len(k):
-            return pd.DataFrame({id_col: ids,
-                                 "win_extreme": v})
-        order = np.lexsort((t, k))
-        k, t, v, a, ids = k[order], t[order], v[order], a[order], ids[order]
-        new_key = np.ones(len(k), dtype=bool)
-        new_key[1:] = k[1:] != k[:-1]
-        rank = np.cumsum(new_key) - 1
-        t0 = int(t.min())
-        span = int(t.max()) - t0 + 2
-        if int(rank[-1] + 1) * span >= 2 ** 63:
-            raise ValueError(
-                "windowed_extreme composite-key overflow; raise n_parts")
-        comp = rank * span + (t - t0)
-        ra, ta = rank[a], t[a]
-        hi = np.searchsorted(comp, ra * span + (ta - t0), side="right")
-        lo = np.searchsorted(
-            comp, ra * span + np.maximum(ta - window_us - t0, 0),
-            side="left")
+        order, anchors, lo, hi = _window_bounds(t, key_col, ts_col,
+                                                anchor_col, window_us)
+        v = t.column(value_col).to_numpy()[order]
         # sparse table: st[j][i] = extreme of v[i : i + 2^j]
         st = [v]
         while (1 << len(st)) <= len(v):
@@ -452,7 +383,8 @@ def windowed_extreme(ds, *, key_col: str = "user_id", ts_col: str = "ts",
             m = nz & (levels == j)
             blk = 1 << int(j)
             out[m] = reduce_fn(st[j][lo[m]], st[j][hi[m] - blk])
-        return pd.DataFrame({id_col: ids[a], "win_extreme": out})
+        return pa.table({id_col: t.column(id_col).take(order[anchors]),
+                         "win_extreme": out})
 
-    return _with_part(ds, key_col, n_parts).groupby("part") \
-        .map_groups(part_extreme, batch_format="pandas")
+    return _per_key(ds, [key_col, ts_col, anchor_col, id_col, value_col],
+                    part_extreme, key_col=key_col, what="windowed_extreme")

@@ -1,8 +1,8 @@
-"""Keyed reduce of compact partials — the one reduce of the dedup family
-— and the steps that run such an op on plain Ray tasks over the input's
-block refs: no Ray Data execution (its executor polls at 0.1 s; a
-shuffle costs ~1 s on one CPU however few rows it moves) and no driver
-collect inside.
+"""The one hash-part step of every keyed op — the dedup family's reduce,
+the per-key windows, the co-location joins — and the steps that run
+such an op on plain Ray tasks over the input's block refs: no Ray Data
+execution (its executor polls at 0.1 s; a shuffle costs ~1 s on one CPU
+however few rows it moves) and no driver collect inside.
 
 Per block one task emits compact partials — combined counters, winner
 keys or candidate rows, never content — and their ``(rows, bytes)``
@@ -11,20 +11,23 @@ the way the reference reduces each window inside one worker and ships
 only the result (plugins/DQMProcessor.cpp:541-556); then one task per
 block filters or rewrites it against the reduced value
 (:func:`keyed_reduce_map`, ``Dataset`` in and out), or emits the rows
-of a second reduce (the near-dup pairs). The reduce is split into K
-hash parts, K the smallest power of two that keeps
-``partial_bytes / K`` at or under ``SMALL_REDUCE_BYTES``:
+of a second reduce (the near-dup pairs).
 
-- K = 1: one task concatenates every partial block and reduces it;
-- K > 1: one split task per partial block cuts it into K parts by its
-  hashed key, K tasks reduce one part each, and one task concatenates
-  the K results.
+The part step takes one or more sides of mapped blocks, K the smallest
+power of two that keeps ``bytes / K`` at or under
+``SMALL_REDUCE_BYTES`` (raised towards the cluster's CPU count while
+every part keeps ``MIN_PART_BYTES``); one split task per block cuts it
+into K parts by its hashed key (at K = 1 nothing is cut), and part i
+runs one function over every side's part i. Its two callers:
 
-Either way the value — the distinct result rows as numpy arrays, sorted
-by all columns — stays in the object store and the keep tasks take it
-as an argument. The bound left is that value, which every keep task
-reads whole: its size is the caller's (winner ids, frequent lines), not
-K's.
+- :func:`reduce_partials` combines the K part results into one value —
+  the distinct result rows as numpy arrays, sorted by all columns —
+  that stays in the object store (at K = 1 reduce and sort are one
+  task). The keep tasks take it as an argument; its size is the
+  caller's (winner ids, frequent lines), not K's;
+- :func:`keyed_parts` (``Dataset`` sides in, ``Dataset`` out) returns
+  the K part outputs as they are: the windows, the co-location joins,
+  ``canonical_docs`` and ``corpus_diff``.
 """
 
 from __future__ import annotations
@@ -43,9 +46,19 @@ from dqm_ray.state.tasks import wait_all
 # then sorts or hashes its partials, so its private RSS grows by 2.3x
 # (exact_dedup) to 2.9x (boilerplate) the partial bytes. Its peak VmRSS
 # read 0.6-0.7 GiB at 128 MiB and 1.0-1.3 GiB at 256 MiB
-# (tools/reduce_sweep.py, 1-CPU Ray session). Unmeasured: the K and
-# budget at which parallel parts beat one task on many CPUs.
+# (tools/reduce_sweep.py, 1-CPU Ray session); an asof_join part, whose
+# parts carry both sides' full rows, 0.8-0.9 GiB (0.58 GiB private) at
+# 128 MiB.
 SMALL_REDUCE_BYTES = 128 << 20
+
+# Bytes a part keeps at least when K is raised to use the cluster's CPUs.
+# In a 1-CPU session, going from one part to two (a split task per
+# block) added 45-155 ms of work to 1.5-12 MiB queries at sf0.1, each
+# further part 10-35 ms; an asof_join part runs ~25 MiB/s
+# (tools/reduce_sweep.py), so an 8 MiB part is ~0.3 s of work.
+# Unmeasured: wall time on many CPUs (these figures come from a
+# one-core host).
+MIN_PART_BYTES = 8 << 20
 
 _FIB = np.uint64(0x9E3779B97F4A7C15)  # 2^64 / golden ratio, odd
 
@@ -53,8 +66,10 @@ log = logging.getLogger("dqm_ray")
 
 
 def _concat(blocks) -> pa.Table:
-    tables = [b for b in blocks if b.num_rows]
-    # no rows at all (an emptied input) reduce a 0-column, 0-row table
+    # no rows at all (an emptied input) give a 0-row table of the
+    # blocks' schema; 0 columns only when no block has one
+    tables = [b for b in blocks if b.num_rows] or \
+        [b for b in blocks if b.num_columns][:1]
     return pa.concat_tables(tables) if tables else pa.table({})
 
 
@@ -75,23 +90,18 @@ def _sorted(table: pa.Table) -> tuple:
     return tuple(cols)
 
 
-def _key_bits(column: pa.ChunkedArray) -> np.ndarray:
-    """uint64 per row: an integer key as is, a string or binary key's
-    first 8 bytes (a sha256 hex digest's first 8 digits); null -> 0."""
+def key_bits(column: pa.ChunkedArray) -> np.ndarray:
+    """uint64 per row: an integer key as is, a timestamp as its int64,
+    any other key (string, binary, float, date, decimal) the pandas hash
+    of its whole value; null -> the same value on every row."""
+    if pa.types.is_timestamp(column.type):
+        column = column.cast(pa.int64())
     if pa.types.is_integer(column.type):
         return column.fill_null(0).to_numpy().astype(np.int64) \
             .view(np.uint64)
-    arr = column.cast(pa.large_binary()).combine_chunks()
-    if not len(arr):
-        return np.empty(0, np.uint64)
-    offs = np.frombuffer(arr.buffers()[1], np.int64)[
-        arr.offset:arr.offset + len(arr) + 1]
-    data = np.frombuffer(arr.buffers()[2] or b"", np.uint8)
-    data = np.concatenate([data, np.zeros(8, np.uint8)])
-    take = offs[:-1, None] + np.arange(8)
-    prefix = np.where(take < offs[1:, None], data[take], 0)
-    prefix[~arr.is_valid().to_numpy(zero_copy_only=False)] = 0
-    return np.ascontiguousarray(prefix.astype(np.uint8)).view("<u8")[:, 0]
+    import pandas as pd
+
+    return pd.util.hash_array(column.to_numpy(zero_copy_only=False))
 
 
 @ray.remote
@@ -104,7 +114,7 @@ def _split_block(block: pa.Table, key: str, bits: int):
     if not block.num_rows:
         return [block] * (1 << bits)
     with np.errstate(over="ignore"):
-        part = ((_key_bits(block.column(key)) * _FIB)
+        part = ((key_bits(block.column(key)) * _FIB)
                 >> np.uint64(64 - bits)).astype(np.int64)
     order = np.argsort(part, kind="stable")
     ends = np.cumsum(np.bincount(part, minlength=1 << bits))
@@ -118,13 +128,60 @@ def _reduce_blocks(reduce: Callable[[pa.Table], pa.Table], *blocks):
 
 
 @ray.remote
-def _reduce_part(reduce: Callable[[pa.Table], pa.Table], *blocks):
-    return reduce(_concat(blocks))
+def _part_task(fn: Callable, sizes: list, *blocks):
+    sides, i = [], 0
+    for n in sizes:
+        sides.append(_concat(blocks[i:i + n]))
+        i += n
+    return fn(*sides)
 
 
 @ray.remote(num_returns=2)
 def _combine(*parts: pa.Table):
     return None, _sorted(pa.concat_tables(parts))
+
+
+def _cpus() -> int:
+    return int(ray.cluster_resources().get("CPU", 1))
+
+
+def _k_for(nbytes: int, cpus: int) -> int:
+    """The smallest power of two K that keeps ``nbytes / K`` at or under
+    ``SMALL_REDUCE_BYTES``, raised to the largest power of two at most
+    ``cpus`` that leaves every part ``MIN_PART_BYTES``."""
+    k = 1
+    while nbytes > k * SMALL_REDUCE_BYTES or (
+            2 * k <= cpus and nbytes >= 2 * k * MIN_PART_BYTES):
+        k *= 2
+    return k
+
+
+def _k_of(meta: list, what: str) -> tuple[int, int]:
+    """K for blocks of ``(rows, bytes)`` ``meta`` on this cluster, and
+    their rows; K, the rows and the bytes are logged at INFO on the
+    ``dqm_ray`` logger."""
+    rows = sum(r for r, _ in meta)
+    nbytes = sum(b for _, b in meta)
+    k = _k_for(nbytes, _cpus() if nbytes >= 2 * MIN_PART_BYTES else 1)
+    log.info("reduce_partials %s: k=%d partial_rows=%d partial_bytes=%d",
+             what, k, rows, nbytes)
+    return k, rows
+
+
+def _part_tasks(fn: Callable, sides: list, k: int, key: str) -> list:
+    """K tasks, part i running ``fn`` over every side's part i of the
+    block refs ``sides`` (a list per side) cut by ``key``."""
+    if k > 1:
+        bits = k.bit_length() - 1
+        cuts = [[_split_block.options(num_returns=k).remote(b, key, bits)
+                 for b in side] for side in sides]
+        parts = [[[c[i] for c in side] for side in cuts]
+                 for i in range(k)]
+    else:
+        parts = [sides]
+    return [_part_task.remote(fn, [len(s) for s in part],
+                              *[b for s in part for b in s])
+            for part in parts]
 
 
 def reduce_partials(partials: list, meta: list,
@@ -134,32 +191,19 @@ def reduce_partials(partials: list, meta: list,
     are ``meta``; return ``(ref, rows)``: a ref to the reduced columns
     and the number of partial rows.
 
-    ``reduce(table)`` takes partials that hold every row of each key it
-    sees (0 rows for an empty input, then possibly with no columns) and
-    returns a table with a fixed schema. ``key`` names the partials'
-    hashed key column (integer, or string/binary read by its first 8
-    bytes); equal keys land in one part. The value is a tuple of numpy
-    arrays, one per result column: the distinct rows of the
-    concatenated results sorted by all their columns, first column
-    first. K, the partial rows and the partial bytes are logged at INFO
-    on the ``dqm_ray`` logger. A failed task raises here.
+    The part step of ``reduce`` over one side, whose K results are
+    combined into one value: a tuple of numpy arrays, one per result
+    column, holding the distinct rows of the concatenated results
+    sorted by all their columns, first column first. ``key`` names the
+    partials' hashed key column (see :func:`key_bits`). At K = 1 one
+    task reduces and sorts. A failed task raises here.
     """
-    rows = sum(r for r, _ in meta)
-    nbytes = sum(b for _, b in meta)
-    k = 1
-    while nbytes > k * SMALL_REDUCE_BYTES:
-        k *= 2
-    log.info("reduce_partials %s: k=%d partial_rows=%d partial_bytes=%d",
-             what, k, rows, nbytes)
+    k, rows = _k_of(meta, what)
     if k == 1:
         done, value = _reduce_blocks.remote(reduce, *partials)
     else:
-        bits = k.bit_length() - 1
-        splits = [_split_block.options(num_returns=k).remote(b, key, bits)
-                  for b in partials]
-        done, value = _combine.remote(*[
-            _reduce_part.remote(reduce, *[s[i] for s in splits])
-            for i in range(k)])
+        done, value = _combine.remote(
+            *_part_tasks(reduce, [partials], k, key))
     ray.get(done)  # raises a reduce error here; the value stays remote
     return value, rows
 
@@ -179,30 +223,33 @@ def value_table(value, names: list):
 
 
 @ray.remote(num_returns=2)
-def _block_task(fn: Callable, block: pa.Table, *args):
-    # Ray Data calls no map function on a 0-row block (it may have no
-    # columns): its output is a 0-row, 0-column table
-    out = fn(block, *args) if block.num_rows else pa.table({})
+def _block_task(fn: Callable, block: pa.Table, empty: pa.Table, *args):
+    if not block.num_columns:  # a 0-row block without a schema
+        block = empty
+    out = fn(block, *args) if block.num_columns else pa.table({})
     return out, (out.num_rows, out.nbytes)
 
 
-def map_blocks(fn: Callable, blocks: list, *args) -> tuple[list, list]:
+def map_blocks(fn: Callable, blocks: list, *args,
+               empty: pa.Table = pa.table({})) -> tuple[list, list]:
     """One task per block ref runs ``fn(block, *args)`` (an arg that is
     a ref, like a reduced value, arrives resolved); returns the output
     block refs and the refs of their ``(rows, bytes)``. A 0-row block
-    runs no ``fn``."""
-    pairs = [_block_task.remote(fn, b, *args) for b in blocks]
+    runs ``fn`` too, so its output has the op's schema; one with no
+    columns runs it on ``empty`` (a 0-row table of the input's schema)
+    instead, or gives a 0-column table when ``empty`` has none."""
+    pairs = [_block_task.remote(fn, b, empty, *args) for b in blocks]
     return [p for p, _ in pairs], [m for _, m in pairs]
 
 
 def map_reduce(blocks: list, partial: Callable[[pa.Table], pa.Table],
                reduce: Callable[[pa.Table], pa.Table], *, key: str,
-               what: str):
+               what: str, empty: pa.Table = pa.table({})):
     """:func:`reduce_partials` of ``partial(block)`` over the block refs
-    ``blocks``; returns its ``(ref, partial rows)``. A failed map task
-    raises here as its original exception class, once the other map
-    tasks have ended."""
-    partials, meta = map_blocks(partial, blocks)
+    ``blocks`` (``empty`` as in :func:`map_blocks`); returns its
+    ``(ref, partial rows)``. A failed map task raises here as its
+    original exception class, once the other map tasks have ended."""
+    partials, meta = map_blocks(partial, blocks, empty=empty)
     return reduce_partials(partials, wait_all(meta), reduce, key=key,
                            what=what)
 
@@ -216,20 +263,51 @@ def keyed_reduce_map(ds, partial: Callable[[pa.Table], pa.Table],
     returns the output Dataset (``rd.from_arrow_refs``, which waits for
     the keep tasks). ``to_arrow_refs`` is O(1) on a materialized input;
     a lazy input runs once and its blocks stay in the object store until
-    the keep tasks have read them. A 0-row block runs neither function.
-    When the partials have no rows the output also holds ``keep`` of a
-    0-row table of ``ds``'s schema (or ``fallback``, see
-    :func:`_empty_batch`), so an emptied input keeps the output
-    schema."""
+    the keep tasks have read them. Every output block has ``keep``'s
+    schema, an emptied input's too (see :func:`dataset_blocks`)."""
     import ray.data as rd
 
-    blocks = ds.to_arrow_refs()
-    value, rows = map_reduce(blocks, partial, reduce, key=key, what=what)
-    out, _ = map_blocks(keep, blocks, value)
-    if not rows:
-        out.append(ray.put(keep(_empty_batch(ds, fallback),
-                                ray.get(value))))
+    blocks, empty = dataset_blocks(ds, fallback)
+    value, _ = map_reduce(blocks, partial, reduce, key=key, what=what,
+                          empty=empty)
+    out, _ = map_blocks(keep, blocks, value, empty=empty)
     return rd.from_arrow_refs(out)
+
+
+def keyed_parts(sides: list, fn: Callable, *, key: str, what: str):
+    """The part step over Dataset sides: ``sides`` is a list of
+    ``(ds, prep)``, ``prep(block)`` projecting or tagging one block of
+    ``ds`` into the rows its parts take (with a ``key`` column). Every
+    side's prepped blocks are cut into the same K hash parts by ``key``,
+    K from their summed bytes; part i runs
+    ``fn(side0_part_i, side1_part_i, ...)``. Each side's part is one
+    table with every row of each key it holds (0 rows with the side's
+    schema when it has none); ``fn`` returns one schema for any input.
+    Returns the Dataset of the K outputs (``rd.from_arrow_refs``, which
+    waits for them), neither made distinct nor sorted: a join may emit
+    equal rows. A failed map task raises here as its original exception
+    class."""
+    import ray.data as rd
+
+    outs, metas = [], []
+    for ds, prep in sides:
+        blocks, empty = dataset_blocks(ds)
+        out, meta = map_blocks(prep, blocks, empty=empty)
+        outs.append(out)
+        metas.extend(meta)
+    k, _ = _k_of(wait_all(metas), what)
+    return rd.from_arrow_refs(_part_tasks(fn, outs, k, key))
+
+
+def dataset_blocks(ds, fallback: pa.Schema = pa.schema([])
+                   ) -> tuple[list, pa.Table]:
+    """``ds``'s block refs and a 0-row table of its schema (see
+    :func:`_empty_batch`); a ``ds`` with no block gives that table as
+    its one block, so an emptied input still maps to the op's
+    schema."""
+    blocks = ds.to_arrow_refs()
+    empty = _empty_batch(ds, fallback)
+    return blocks or [ray.put(empty)], empty
 
 
 def _empty_batch(ds, fallback: pa.Schema) -> pa.Table:

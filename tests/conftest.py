@@ -101,6 +101,23 @@ def reduce_at_budget(monkeypatch, caplog):
     return run
 
 
+@pytest.fixture
+def at_k1_and_k4(reduce_at_budget):
+    """``at_k1_and_k4(fn, what)`` -> (output at K = 1, output at K = 4):
+    ``fn()`` run at the default budget, then at a third of the bytes its
+    reduce record of ``what`` logged; both K are read from that
+    record."""
+    from dqm_ray.state.reduce import SMALL_REDUCE_BYTES
+
+    def run(fn, what: str):
+        one, k1, nbytes, _ = reduce_at_budget(SMALL_REDUCE_BYTES, fn, what)
+        four, k4, _, _ = reduce_at_budget(nbytes // 3, fn, what)
+        assert (k1, k4) == (1, 4), what
+        return one, four
+
+    return run
+
+
 def _boilerplate_twin(df: pd.DataFrame, min_len: int,
                       min_docs: int) -> pd.DataFrame:
     """Naive twin of remove_boilerplate_lines: a line is boilerplate
@@ -160,6 +177,35 @@ def _paragraphs_twin(df: pd.DataFrame, sep: str = "\n\n") -> pd.DataFrame:
         rows.append((did, sep.join(kept), len(kept), nd))
     return pd.DataFrame(rows,
                         columns=["doc_id", "text", "n_kept", "n_dropped"])
+
+
+def _spans_twin(df: pd.DataFrame, k: int,
+                decode: bool = True) -> pd.DataFrame:
+    """Naive twin of dedup_spans over byte strings: winner per k-gram =
+    the min (doc_id, offset) among stride-k anchors of docs >= k bytes;
+    every gram of such a doc whose winner is earlier than itself is
+    cut. A null text stays null with 0 cut. ``decode=False`` keeps the
+    texts as bytes (a cut may split a multi-byte character)."""
+    docs = {d: None if t is None else t.encode()
+            for d, t in zip(df["doc_id"], df["text"])}
+    winner = {}
+    for d, b in sorted((d, b) for d, b in docs.items() if b is not None):
+        for p in range(0, len(b) - k + 1, k) if len(b) >= k else ():
+            winner.setdefault(b[p:p + k], (d, p))
+    texts, cuts = [], []
+    for d, b in docs.items():
+        if b is None:
+            texts.append(None)
+            cuts.append(0)
+            continue
+        cover = np.zeros(len(b), bool)
+        for p in range(len(b) - k + 1) if len(b) >= k else ():
+            if winner.get(b[p:p + k], (d, p)) < (d, p):
+                cover[p:p + k] = True
+        kept = bytes(np.frombuffer(b, np.uint8)[~cover])
+        texts.append(kept.decode() if decode else kept)
+        cuts.append(int(cover.sum()))
+    return df.assign(text=texts, n_cut=np.array(cuts, np.int64))
 
 
 @pytest.fixture

@@ -196,7 +196,7 @@ def test_connected_components_full_range_int64_ids(ray_session):
     assert got == want
 
 
-def test_canonical_docs_picks_best_quality(ray_session):
+def test_canonical_docs_picks_best_quality(ray_session, at_k1_and_k4):
     """Canonical pick = argmax (quality_score desc, id asc) per
     cluster; singleton non-dup docs never appear."""
     import ray.data as rd
@@ -215,15 +215,18 @@ def test_canonical_docs_picks_best_quality(ray_session):
         "doc_id": pa.array([0, 1, 2], pa.int64()),
         "dup_group": pa.array([0, 0, 0], pa.int64()),
     })
-    out = canonical_docs(rd.from_pandas(df), dup_table).to_pandas()
-    assert len(out) == 1
-    row = out.iloc[0]
-    assert row["dup_group"] == 0 and row["n_members"] == 3
-    # ids 0 and 1 tie on score (identical text) -> lowest id wins
-    assert row["canonical_id"] == 0
     scores = quality_score_batch(
         pa.table({"text": pa.array([texts[0]])}))["quality_score"]
-    assert row["quality_score"] == scores[0].as_py()
+    for ds in at_k1_and_k4(
+            lambda: canonical_docs(rd.from_pandas(df).repartition(2),
+                                   dup_table), "canonical_docs"):
+        out = ds.to_pandas()
+        assert len(out) == 1
+        row = out.iloc[0]
+        assert row["dup_group"] == 0 and row["n_members"] == 3
+        # ids 0 and 1 tie on score (identical text) -> lowest id wins
+        assert row["canonical_id"] == 0
+        assert row["quality_score"] == scores[0].as_py()
 
 
 def test_canonical_docs_empty_clusters(ray_session):

@@ -149,7 +149,7 @@ def test_incremental_neardup_threshold_gate(ray_session, tmpidx):
     assert kept["doc_id"].tolist() == [100]
 
 
-def test_corpus_diff_verdicts(ray_session):
+def test_corpus_diff_verdicts(ray_session, at_k1_and_k4):
     import ray.data as rd
 
     from dqm_ray.functions.incremental import corpus_diff
@@ -160,11 +160,12 @@ def test_corpus_diff_verdicts(ray_session):
     new = pd.DataFrame({
         "doc_id": np.array([0, 1, 2, 4, 9], np.int64),
         "text": ["doc 0", "doc 1 EDITED", "doc 2", "doc 4", "brand new"]})
-    out = corpus_diff(rd.from_pandas(old), rd.from_pandas(new),
-                      n_parts=4).to_pandas().set_index("doc_id")
-    assert out.loc[0, "status"] == "same"
-    assert out.loc[1, "status"] == "changed"
-    assert out.loc[3, "status"] == "removed"
-    assert out.loc[5, "status"] == "removed"
-    assert out.loc[9, "status"] == "added"
-    assert len(out) == 7
+    want = {0: "same", 1: "changed", 2: "same", 3: "removed", 4: "same",
+            5: "removed", 9: "added"}
+    for ds in at_k1_and_k4(
+            lambda: corpus_diff(rd.from_pandas(old).repartition(2),
+                                rd.from_pandas(new).repartition(2)),
+            "corpus_diff"):
+        out = ds.to_pandas()
+        assert dict(zip(out["doc_id"], out["status"])) == want
+        assert len(out) == len(want)

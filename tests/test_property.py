@@ -287,3 +287,50 @@ def test_exact_then_boilerplate_on_blocks_match_twins(ray_session, data):
 
     pd.testing.assert_frame_equal(got, _boilerplate_twin(
         _first_wins_twin(t.to_pandas()), 10, min_docs))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_paragraphs_and_spans_on_blocks_match_twins(ray_session, data):
+    """dedup_paragraphs and dedup_spans over an input cut into blocks
+    with 0-row blocks between them give the naive twins' output: null,
+    empty, non-ASCII and duplicate-heavy docs. Span cuts are byte
+    spans, so their texts compare as bytes."""
+    import pandas as pd
+    import ray
+    import ray.data as rd
+
+    from conftest import _paragraphs_twin, _spans_twin
+    from dqm_ray.functions.paragraphs import dedup_paragraphs
+    from dqm_ray.functions.spans import dedup_spans
+
+    pool = data.draw(st.lists(_TEXTS, min_size=1, max_size=10))
+    texts = data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                               max_size=40))
+    ids = data.draw(st.permutations(range(len(texts))))
+    t = pa.table({"doc_id": pa.array(np.array(ids) * 7 - 20, pa.int64()),
+                  "text": pa.array(texts, pa.string())})
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(texts)),
+                                     max_size=4)))
+    blocks = [t.slice(0, 0)]
+    for lo, hi in zip([0] + cuts, cuts + [len(texts)]):
+        blocks += [t.slice(lo, hi - lo), t.slice(0, 0)]
+    df = t.to_pandas()
+
+    def rows(out) -> pd.DataFrame:
+        got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+        got = got.set_column(got.schema.get_field_index("text"), "text",
+                             got["text"].cast(pa.large_binary()))
+        return got.to_pandas().sort_values("doc_id", ignore_index=True)
+
+    para = dedup_paragraphs(rd.from_arrow(blocks), sep="\n")
+    want = _paragraphs_twin(df, sep="\n")
+    want["text"] = [None if x is None else x.encode() for x in want["text"]]
+    pd.testing.assert_frame_equal(rows(para), want.sort_values(
+        "doc_id", ignore_index=True))
+
+    k = data.draw(st.integers(3, 12))
+    spans = dedup_spans(rd.from_arrow(blocks), k=k)
+    want = _spans_twin(df, k, decode=False)
+    pd.testing.assert_frame_equal(rows(spans), want.sort_values(
+        "doc_id", ignore_index=True))

@@ -10,33 +10,13 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
-from conftest import _first_wins_twin
+from conftest import _first_wins_twin, _spans_twin
 
 SPAN_K = 10
 
 
 def _exact_twin(df: pd.DataFrame) -> pd.DataFrame:
     return df[df["doc_id"].isin(df.groupby("text")["doc_id"].min())]
-
-
-def _spans_twin(df: pd.DataFrame, k: int) -> pd.DataFrame:
-    """Naive span dedup over byte strings: winner per k-gram = the min
-    (doc_id, offset) among stride-k anchors of docs >= k bytes; every
-    gram of such a doc whose winner is earlier than itself is cut."""
-    docs = {d: t.encode() for d, t in zip(df["doc_id"], df["text"])}
-    winner = {}
-    for d, b in sorted(docs.items()):
-        for p in range(0, len(b) - k + 1, k) if len(b) >= k else ():
-            winner.setdefault(b[p:p + k], (d, p))
-    texts, cuts = [], []
-    for d, b in docs.items():
-        cover = np.zeros(len(b), bool)
-        for p in range(len(b) - k + 1) if len(b) >= k else ():
-            if winner.get(b[p:p + k], (d, p)) < (d, p):
-                cover[p:p + k] = True
-        texts.append(bytes(np.frombuffer(b, np.uint8)[~cover]).decode())
-        cuts.append(int(cover.sum()))
-    return df.assign(text=texts, n_cut=np.array(cuts, np.int64))
 
 
 def _union_find_groups(edges) -> pd.DataFrame:
@@ -137,14 +117,55 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
 def _collect(out) -> pd.DataFrame:
     """The rows of a Dataset ``out`` with its columns even at 0 rows (Ray
     Data's ``to_pandas`` drops the columns of an all-empty Dataset); a
-    frame as it is. A 0-row input block gives a 0-column output block,
-    which is skipped."""
+    frame as it is."""
     import ray
 
     if isinstance(out, pd.DataFrame):
         return out
-    return pa.concat_tables([t for t in ray.get(out.to_arrow_refs())
-                             if t.num_columns]).to_pandas()
+    return pa.concat_tables(ray.get(out.to_arrow_refs())).to_pandas()
+
+
+def test_empty_block_keeps_output_schema(ray_session, dup_docs,
+                                         at_k1_and_k4):
+    """A 0-row block among the input blocks: at K = 1 and K = 4 every
+    output block of the four dedup-family ops, ``sessionize`` and
+    ``asof_join`` (a part with no rows too) has the op's columns, so
+    the output's Arrow refs concatenate."""
+    import ray
+    import ray.data as rd
+
+    from dqm_ray.functions.boilerplate import remove_boilerplate_lines
+    from dqm_ray.functions.dedup import exact_dedup
+    from dqm_ray.functions.joins import asof_join
+    from dqm_ray.functions.paragraphs import dedup_paragraphs
+    from dqm_ray.functions.spans import dedup_spans
+    from dqm_ray.functions.windows import sessionize
+
+    t = dup_docs(400, 0.5, seed=9)
+    docs = [t.slice(0, 200), t.slice(0, 0), t.slice(200)]
+    rng = np.random.default_rng(9)
+    ev = pa.table({
+        "user_id": pa.array(rng.integers(0, 3, 300), pa.int64()),
+        "ts": pa.array(rng.integers(0, 10**10, 300), pa.timestamp("us")),
+        "event_id": pa.array(np.arange(300), pa.int64())})
+    events = [ev.slice(0, 150), ev.slice(0, 0), ev.slice(150)]
+    ops = {
+        "exact_dedup": lambda: exact_dedup(rd.from_arrow(docs)),
+        "remove_boilerplate_lines": lambda: remove_boilerplate_lines(
+            rd.from_arrow(docs), min_len=10, min_docs=20),
+        "dedup_paragraphs": lambda: dedup_paragraphs(rd.from_arrow(docs),
+                                                     sep="\n"),
+        "dedup_spans": lambda: dedup_spans(rd.from_arrow(docs), k=SPAN_K),
+        "sessionize": lambda: sessionize(rd.from_arrow(events)),
+        "asof_join": lambda: asof_join(rd.from_arrow(events),
+                                       rd.from_arrow(events[::-1]),
+                                       by="user_id", on="ts"),
+    }
+    for what, op in ops.items():
+        for out in at_k1_and_k4(op, what):
+            tables = ray.get(out.to_arrow_refs())
+            assert all(b.num_columns for b in tables), what
+            assert len(pa.concat_tables(tables)) == out.count(), what
 
 
 @pytest.mark.parametrize("dup_rate", [0.0, 0.5, 0.95])
@@ -437,3 +458,46 @@ def test_oversized_doc_through_exact_then_boilerplate(ray_session, dup_docs,
     assert 10_001 not in set(got["doc_id"])
     assert expected.loc[expected["doc_id"] == 10_000, "n_removed"].item()
     pd.testing.assert_frame_equal(got, _canon(expected))
+
+
+def test_key_bits_hash_the_whole_value():
+    """Keys that differ only past their first 8 bytes, and float, date,
+    bool and decimal keys, spread over all four parts of a split."""
+    import datetime
+    import decimal
+
+    from dqm_ray.state.reduce import _FIB, key_bits
+
+    n = 4000
+    cols = [
+        pa.chunked_array([[f"user-{i:06d}" for i in range(n)]]),
+        pa.chunked_array([[i / 7 for i in range(n)]]),
+        pa.chunked_array([[datetime.date(2000, 1, 1)
+                           + datetime.timedelta(days=i) for i in range(n)]]),
+        pa.chunked_array([[decimal.Decimal(i) / 100 for i in range(n)]]),
+    ]
+    for col in cols:
+        with np.errstate(over="ignore"):
+            part = (key_bits(col) * _FIB) >> np.uint64(62)
+        share = np.bincount(part.astype(np.int64), minlength=4) / n
+        assert share.min() > 0.2, (col.type, share)
+    bools = key_bits(pa.chunked_array([[True, False, None]]))
+    assert len(set(bools.tolist())) == 3
+
+
+def test_k_rule_bytes_then_cpus():
+    """K keeps every part at or under SMALL_REDUCE_BYTES, and rises
+    towards the CPU count only while every part keeps MIN_PART_BYTES."""
+    from dqm_ray.state.reduce import MIN_PART_BYTES, SMALL_REDUCE_BYTES
+    from dqm_ray.state.reduce import _k_for as k
+
+    assert k(0, 64) == 1
+    assert k(2 * MIN_PART_BYTES - 1, 64) == 1
+    assert k(2 * MIN_PART_BYTES, 1) == 1
+    assert k(2 * MIN_PART_BYTES, 64) == 2
+    assert k(8 * MIN_PART_BYTES, 4) == 4
+    assert k(8 * MIN_PART_BYTES, 6) == 4
+    assert k(8 * MIN_PART_BYTES, 64) == 8
+    assert k(SMALL_REDUCE_BYTES, 1) == 1
+    assert k(SMALL_REDUCE_BYTES + 1, 1) == 2
+    assert k(5 * SMALL_REDUCE_BYTES, 2) == 8

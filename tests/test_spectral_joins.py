@@ -81,20 +81,25 @@ def test_broadcast_join(ray_session):
         want.sort_values(["k", "v"]).reset_index(drop=True))
 
 
-def test_partitioned_hash_join(ray_session):
+def test_partitioned_hash_join(ray_session, at_k1_and_k4):
     import ray.data as rd
 
     from dqm_ray.functions.joins import partitioned_hash_join
 
     l = pd.DataFrame({"key": np.arange(200) % 50, "lv": np.arange(200)})
-    r = pd.DataFrame({"key": np.arange(0, 100, 2), "rv": np.arange(50)})
-    out = partitioned_hash_join(rd.from_pandas(l).repartition(4),
-                                rd.from_pandas(r).repartition(2),
-                                on="key", num_buckets=8).to_pandas()
-    want = l.merge(r, on="key")
-    assert len(out) == len(want)
-    assert sorted(map(tuple, out[["key", "lv", "rv"]].to_numpy().tolist())) == \
-        sorted(map(tuple, want[["key", "lv", "rv"]].to_numpy().tolist()))
+    r = pd.DataFrame({"key": np.arange(0, 100, 2), "rv": np.arange(50),
+                      "lv": np.arange(50) * 3})
+    want = l.merge(r, on="key", suffixes=("", "_r"))
+    cols = ["key", "lv", "rv", "lv_r"]
+    for ds in at_k1_and_k4(
+            lambda: partitioned_hash_join(rd.from_pandas(l).repartition(4),
+                                          rd.from_pandas(r).repartition(2),
+                                          on="key"),
+            "partitioned_hash_join"):
+        out = ds.to_pandas()
+        assert sorted(out.columns) == sorted(cols)
+        assert sorted(map(tuple, out[cols].to_numpy().tolist())) == \
+            sorted(map(tuple, want[cols].to_numpy().tolist()))
 
 
 def test_rule_registry(corpus_table, cfg):
@@ -160,7 +165,7 @@ def test_salted_groupby_matches_plain(ray_session):
     assert (out["sum_v"] == want["sum_v"]).all()
 
 
-def test_asof_join_matches_pandas(ray_session):
+def test_asof_join_matches_pandas(ray_session, at_k1_and_k4):
     import ray.data as rd
 
     from dqm_ray.functions.joins import asof_join
@@ -174,9 +179,6 @@ def test_asof_join_matches_pandas(ray_session):
         "k": rng.integers(0, 5, 60),
         "t": np.sort(rng.integers(0, 1000, 60)),
         "rv": np.arange(60) * 10})
-    got = asof_join(rd.from_pandas(left).repartition(3),
-                    rd.from_pandas(right).repartition(2),
-                    by="k", on="t").to_pandas()
     # pandas oracle, per key
     outs = []
     for k, lg in left.groupby("k"):
@@ -187,15 +189,19 @@ def test_asof_join_matches_pandas(ray_session):
         else:
             lg = lg.copy(); lg["rv"] = np.nan; outs.append(lg)
     want = pd.concat(outs, ignore_index=True)
-    got = got.sort_values(["k", "t", "lv"]).reset_index(drop=True)
     want = want.sort_values(["k", "t", "lv"]).reset_index(drop=True)
-    assert got["lv"].tolist() == want["lv"].tolist()
-    g = got["rv"].fillna(-1).tolist()
-    w = want["rv"].fillna(-1).tolist()
-    assert g == w
+    for ds in at_k1_and_k4(
+            lambda: asof_join(rd.from_pandas(left).repartition(3),
+                              rd.from_pandas(right).repartition(2),
+                              by="k", on="t"), "asof_join"):
+        got = ds.to_pandas().sort_values(["k", "t", "lv"]) \
+            .reset_index(drop=True)
+        assert got["lv"].tolist() == want["lv"].tolist()
+        assert got["rv"].fillna(-1).tolist() == \
+            want["rv"].fillna(-1).tolist()
 
 
-def test_interval_join_containment(ray_session):
+def test_interval_join_containment(ray_session, at_k1_and_k4):
     """Binned range join: exact containment, cross-key exclusion, and
     intervals spanning many bins."""
     import pandas as pd
@@ -214,17 +220,20 @@ def test_interval_join_containment(ray_session):
         "k":   [10, 10, 10, 20, 20, 30],
         "p":   [150, 201, 255, 500, 1001, 150],
     })
-    pairs = interval_join(
-        rd.from_pandas(intervals).repartition(2),
-        rd.from_pandas(points).repartition(3),
-        by="k", start_col="s", end_col="e", point_col="p",
-        int_id="iid", point_id="pid", bin_width_us=50).to_pandas()
-    got = set(map(tuple, pairs[["iid", "pid"]].to_numpy()))
-    # iid1:[100,200]@k10 → 150; iid2:[250,260]@k10 → 255;
-    # iid3:[0,1000]@k20 → 500 (1001 outside, 150@k30 wrong key)
-    assert got == {(1, 101), (2, 103), (3, 104)}
-    # no duplicate pairs despite multi-bin intervals
-    assert len(pairs) == len(got)
+    for ds in at_k1_and_k4(
+            lambda: interval_join(
+                rd.from_pandas(intervals).repartition(2),
+                rd.from_pandas(points).repartition(3),
+                by="k", start_col="s", end_col="e", point_col="p",
+                int_id="iid", point_id="pid", bin_width_us=50),
+            "interval_join"):
+        pairs = ds.to_pandas()
+        got = set(map(tuple, pairs[["iid", "pid"]].to_numpy()))
+        # iid1:[100,200]@k10 → 150; iid2:[250,260]@k10 → 255;
+        # iid3:[0,1000]@k20 → 500 (1001 outside, 150@k30 wrong key)
+        assert got == {(1, 101), (2, 103), (3, 104)}
+        # no duplicate pairs despite multi-bin intervals
+        assert len(pairs) == len(got)
 
 
 def test_bucketed_write_and_join(ray_session, tmp_path):

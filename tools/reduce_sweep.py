@@ -1,12 +1,14 @@
-"""Measure ``state.reduce.reduce_partials`` as the partial bytes grow:
-wall seconds of the whole reduce, the K it chose, the output rows and
-the peak RSS of every task that ran the op's reduce function (VmRSS and
-private RssAnon, sampled every 5 ms from the start of the call — the
-task's concatenated partials are already resident then).
+"""Measure the keyed reduce's part step (``state.reduce``) as the
+bytes grow: wall seconds of the whole reduce, the K it chose, the
+output rows and the peak RSS of every task that ran the op's part
+function (VmRSS and private RssAnon, sampled every 5 ms from the start
+of the call — the task's concatenated parts are already resident then).
 
-It reduces synthetic partials with the schema each op's combine emits
+It runs synthetic blocks with the schema each op's map tasks emit
 (generated inside Ray tasks in 64k-row blocks, 16k for minhash, so the
-driver holds none of them) through that op's own reduce function and key:
+driver holds none of them) through that op's own part function and key
+(``reduce_partials`` for the first three, the part tasks of
+``keyed_parts`` for asof_join):
 
 - ``exact_dedup``: (doc_id, 32-byte sha256), a third of the keys
   repeated;
@@ -15,7 +17,11 @@ driver holds none of them) through that op's own reduce function and key:
   band rows (doc_id, bucket_key, 128-perm uint64 signature, ~1 KB a
   row) in buckets of 2-4 members, a third of them exact copies and the
   rest differing in 10% or 30% of their permutations. Unlike the other
-  two, its output (pairs) can grow faster than its input.
+  two, its output (pairs) can grow faster than its input;
+- ``asof_join``: a co-partition site whose parts carry the full rows of
+  both sides, as ``asof_prior_view`` projects them: left (event_id,
+  user_id, ts), right (event_id, user_id, ts, view_ts), half the blocks
+  each, 2^20 users over one year.
 
 One JSON line per measurement. Run one op and one size per process for
 a fresh set of workers (worker reuse carries RSS over between runs).
@@ -60,7 +66,7 @@ def _status() -> dict:
 def _sampled(reduce, out_dir: str):
     """``reduce`` plus an RSS sampler thread; each call writes one JSON
     file (pid, rows, start and peak MiB) to ``out_dir``."""
-    def run(table: pa.Table) -> pa.Table:
+    def run(*tables: pa.Table) -> pa.Table:
         start = _status()
         peak = dict(start)
         stop = threading.Event()
@@ -73,14 +79,15 @@ def _sampled(reduce, out_dir: str):
 
         th = threading.Thread(target=sample, daemon=True)
         th.start()
-        value = reduce(table)
+        value = reduce(*tables)
         stop.set()
         th.join()
         for k, v in _status().items():
             peak[k] = max(peak[k], v)
         path = os.path.join(out_dir, f"{os.getpid()}-{time.time_ns()}.json")
         with open(path, "w") as f:
-            json.dump({"rows": table.num_rows, "out": value.num_rows,
+            json.dump({"rows": sum(t.num_rows for t in tables),
+                       "out": value.num_rows,
                        "start": start, "peak": peak}, f)
         return value
 
@@ -142,9 +149,26 @@ def _gen_minhash(batch):
     return pa.concat_tables(out)
 
 
+def _gen_asof(batch):
+    """Even ids: a left (click) block; odd ids: a right (view) block."""
+    out = []
+    for b in batch["id"]:
+        rng = np.random.default_rng(int(b))
+        ts = pa.array(rng.integers(0, 365 * 86_400 * 10**6, BLOCK_ROWS),
+                      pa.timestamp("us"))
+        cols = {"event_id": pa.array(rng.integers(0, 1 << 40, BLOCK_ROWS)),
+                "user_id": pa.array(rng.integers(0, 1 << 20, BLOCK_ROWS)),
+                "ts": ts}
+        if b % 2:
+            cols["view_ts"] = ts
+        out.append(pa.table(cols))
+    return pa.concat_tables(out)
+
+
 _OPS = {"exact_dedup": (_gen_exact, "exact_dedup"),
         "boilerplate": (_gen_lines, "remove_boilerplate_lines"),
-        "minhash": (_gen_minhash, "minhash_lsh_dedup")}
+        "minhash": (_gen_minhash, "minhash_lsh_dedup"),
+        "asof_join": (_gen_asof, "asof_join")}
 
 
 @ray.remote(num_returns=2)
@@ -156,26 +180,33 @@ def _gen_block(gen, i: int):
 
 
 def _reduce_fn(op: str):
-    """The (reduce, key) pair ``op`` hands to ``reduce_partials`` (for
-    minhash, its pair reduce)."""
+    """The (function, key) pair ``op`` hands to ``reduce_partials`` (for
+    minhash, its pair reduce), or for asof_join to ``keyed_parts``."""
     import ray.data as rd
 
     import dqm_ray.state.reduce as reduce_mod
 
     target = _OPS[op][1]
     captured = {}
-    real = reduce_mod.reduce_partials
+    step = "keyed_parts" if op == "asof_join" else "reduce_partials"
+    real = getattr(reduce_mod, step)
 
-    def capture(partials, meta, reduce, *, key, what):
+    def capture(*args, key, what):
         if what == target:
-            captured.update(reduce=reduce, key=key)
-        return real(partials, meta, reduce, key=key, what=what)
+            captured.update(reduce=args[-1], key=key)
+        return real(*args, key=key, what=what)
 
     tiny = rd.from_arrow(pa.table({"doc_id": pa.array([1]),
                                    "text": pa.array(["x"])}))
-    reduce_mod.reduce_partials = capture
+    setattr(reduce_mod, step, capture)
     try:
-        if op == "exact_dedup":
+        if op == "asof_join":
+            from dqm_ray.functions.joins import asof_join
+            views = _gen_asof({"id": [1]}).slice(0, 10)
+            asof_join(rd.from_arrow(views.drop_columns(["view_ts"])),
+                      rd.from_arrow(views), by="user_id", on="ts",
+                      tiebreak="event_id")
+        elif op == "exact_dedup":
             from dqm_ray.functions.dedup import exact_dedup
             exact_dedup(tiny)
         elif op == "minhash":
@@ -186,7 +217,7 @@ def _reduce_fn(op: str):
                 remove_boilerplate_lines)
             remove_boilerplate_lines(tiny, min_len=10, min_docs=10)
     finally:
-        reduce_mod.reduce_partials = real
+        setattr(reduce_mod, step, real)
     return captured["reduce"], captured["key"]
 
 
@@ -214,7 +245,8 @@ def main() -> None:
              include_dashboard=False, logging_level="ERROR")
     import ray.data as rd
 
-    from dqm_ray.state.reduce import log, reduce_partials
+    from dqm_ray.state.reduce import (_k_of, _part_tasks, log,
+                                      reduce_partials)
 
     rd.DataContext.get_current().enable_progress_bars = False
     last_k = _LastK()
@@ -222,7 +254,7 @@ def main() -> None:
     log.setLevel(logging.INFO)
     reduce, key = _reduce_fn(args.op)
     gen = _OPS[args.op][0]
-    block_bytes = gen({"id": [0]}).nbytes
+    block_bytes = (gen({"id": [0]}).nbytes + gen({"id": [1]}).nbytes) / 2
     try:
         for mib in (float(m) for m in args.mib.split(",")):
             nblocks = max(1, round(mib * (1 << 20) / block_bytes))
@@ -235,10 +267,15 @@ def main() -> None:
                        "rows": sum(r for r, _ in meta), "rep": rep}
                 with tempfile.TemporaryDirectory() as tmp:
                     t0 = time.perf_counter()
-                    value, _ = reduce_partials(parts, meta,
-                                               _sampled(reduce, tmp),
-                                               key=key, what=args.op)
-                    ray.wait([value], fetch_local=False)
+                    if args.op == "asof_join":
+                        refs = _part_tasks(
+                            _sampled(reduce, tmp), [parts[0::2], parts[1::2]],
+                            _k_of(meta, args.op)[0], key)
+                    else:
+                        refs = [reduce_partials(parts, meta,
+                                                _sampled(reduce, tmp),
+                                                key=key, what=args.op)[0]]
+                    ray.wait(refs, num_returns=len(refs), fetch_local=False)
                     rec["s"] = round(time.perf_counter() - t0, 3)
                     tasks = []
                     for path in glob.glob(os.path.join(tmp, "*.json")):
@@ -251,7 +288,7 @@ def main() -> None:
                     task_rows=sorted(t["rows"] for t in tasks),
                     out_rows=sum(t["out"] for t in tasks))
                 print(json.dumps(rec), flush=True)
-                del value
+                del refs
             del parts, pairs
     finally:
         ray.shutdown()
