@@ -333,14 +333,11 @@ def _q_quality_score(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 def _q_q1_pricing(sf_dir: str):
-    """Grouped pricing summary with exact integer-cents arithmetic and
-    per-batch partial aggregation before the (tiny) groupby shuffle."""
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    path = os.path.join(sf_dir, "lineitem.parquet")
-    import pyarrow.compute as pc  # noqa: F401
+    """Grouped pricing summary with exact integer-cents arithmetic: one
+    grouped aggregate (per-block partial, merge per key part)."""
     import pyarrow.dataset as pads
+
+    from dqm_ray.state.reduce import grouped_aggregate
 
     ds = _read_sf(
         sf_dir, "lineitem",
@@ -349,78 +346,62 @@ def _q_q1_pricing(sf_dir: str):
         filter=(pads.field("l_shipdate") < pa.scalar(
             np.datetime64("1998-09-01", "us"))))
 
-    def partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
+    def prep(batch: pa.Table) -> pa.Table:
         qty = batch.column("l_quantity").to_numpy(zero_copy_only=False)
         ep = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
         disc = batch.column("l_discount").to_numpy(zero_copy_only=False)
         base_c = np.round(ep * 100).astype(np.int64)
         disc_c = np.round(disc * 100).astype(np.int64)
-        df = pd.DataFrame({
-            "l_returnflag": batch.column("l_returnflag").to_pylist(),
-            "l_linestatus": batch.column("l_linestatus").to_pylist(),
+        return pa.table({
+            "l_returnflag": batch.column("l_returnflag"),
+            "l_linestatus": batch.column("l_linestatus"),
             "sum_qty": qty.astype(np.int64),
             "sum_base_cents": base_c,
             "sum_disc_c4": base_c * (100 - disc_c),
-            "count_order": np.ones(len(batch), dtype=np.int64),
         })
-        g = df.groupby(["l_returnflag", "l_linestatus"], as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    return partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("sum_qty", alias_name="sum_qty"),
-        Sum("sum_base_cents", alias_name="sum_base_cents"),
-        Sum("sum_disc_c4", alias_name="sum_disc_c4"),
-        Sum("count_order", alias_name="count_order"),
-    )
+    return grouped_aggregate(
+        ds, prep, ["l_returnflag", "l_linestatus"],
+        {"sum_qty": "sum", "sum_base_cents": "sum", "sum_disc_c4": "sum",
+         "count_order": "count"}, what="q1_pricing")
 
 
 def _q_events_hourly(sf_dir: str):
     """Tumbling 1-hour window per event_type: count + sum(value)
     (streaming-window analog over the ordered log; SQL-oracled via
     date_trunc). Float sums rounded identically on both sides."""
-    import ray.data as rd
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
+
+    from dqm_ray.state.reduce import grouped_aggregate
 
     ds = _read_sf(sf_dir, "events",
                          columns=["event_type", "ts", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        hour = pc.floor_temporal(batch.column("ts"), unit="hour")
-        df = pd.DataFrame({
-            "event_type": batch.column("event_type").to_pylist(),
-            "hour": hour.to_pandas(),
-            "n": np.ones(len(batch), dtype=np.int64),
-            "sum_value": batch.column("value").to_numpy(zero_copy_only=False),
+    def prep(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "event_type": batch.column("event_type"),
+            "hour": pc.floor_temporal(batch.column("ts"), unit="hour"),
+            "sum_value": batch.column("value"),
         })
-        g = df.groupby(["event_type", "hour"], as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
 
-    agg = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(["event_type", "hour"]).aggregate(
-            Sum("n", alias_name="n"),
-            Sum("sum_value", alias_name="sum_value"))
-    df = agg.to_pandas()
-    df["sum_value"] = np.round(df["sum_value"].to_numpy(), 6)
-    df["hour"] = df["hour"].astype("datetime64[us]")
-    return df
+    def rounded(t: pa.Table) -> pa.Table:
+        v = np.round(t.column("sum_value").to_numpy(), 6)
+        return t.set_column(t.schema.get_field_index("sum_value"),
+                            "sum_value", pa.array(v, pa.float64()))
+
+    return grouped_aggregate(ds, prep, ["event_type", "hour"],
+                             {"n": "count", "sum_value": "sum"},
+                             what="events_hourly", finish=rounded)
 
 
 def _q_seg_revenue(sf_dir: str):
     """Broadcast hash join (ChannelMap-lookup analog): orders (big,
     streamed) against customer segment lookup (small, ray.put once),
-    then partial-agg → tiny groupby."""
-    import pandas as pd
+    then one grouped aggregate."""
     import pyarrow.parquet as pq
-    import ray.data as rd
-    from ray.data.aggregate import Sum
 
     from dqm_ray.functions.joins import broadcast_join
+    from dqm_ray.state.reduce import grouped_aggregate
 
     cust = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
                          columns=["c_custkey", "c_mktsegment"]).to_pandas()
@@ -429,27 +410,37 @@ def _q_seg_revenue(sf_dir: str):
                              columns=["o_custkey", "o_totalprice"])
     joined = broadcast_join(orders, cust, on="o_custkey")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df["revenue_cents"] = np.round(
-            df["o_totalprice"].to_numpy() * 100).astype(np.int64)
-        df["n_orders"] = np.int64(1)
-        g = df.groupby("c_mktsegment", as_index=False)[
-            ["n_orders", "revenue_cents"]].sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def prep(batch: pa.Table) -> pa.Table:
+        price = batch.column("o_totalprice").to_numpy(zero_copy_only=False)
+        return pa.table({
+            "c_mktsegment": batch.column("c_mktsegment"),
+            "revenue_cents": np.round(price * 100).astype(np.int64),
+        })
 
-    return joined.map_batches(partial, batch_format="pyarrow") \
-        .groupby("c_mktsegment").aggregate(
-            Sum("n_orders", alias_name="n_orders"),
-            Sum("revenue_cents", alias_name="revenue_cents"))
+    return grouped_aggregate(joined, prep, ["c_mktsegment"],
+                             {"n_orders": "count", "revenue_cents": "sum"},
+                             what="seg_revenue")
+
+
+def _lines_per_priority(joined, what: str):
+    """Line count and summed quantity per o_orderpriority of a lineitem
+    ⋈ orders join (join_order_lines, join_native)."""
+    from dqm_ray.state.reduce import grouped_aggregate
+
+    def prep(batch: pa.Table) -> pa.Table:
+        return pa.table({
+            "o_orderpriority": batch.column("o_orderpriority"),
+            "sum_qty": batch.column("l_quantity").cast(pa.int64()),
+        })
+
+    return grouped_aggregate(joined, prep, ["o_orderpriority"],
+                             {"n_lines": "count", "sum_qty": "sum"},
+                             what=what)
 
 
 def _q_join_order_lines(sf_dir: str):
     """Partitioned hash join (both sides large): lineitem ⋈ orders on
     orderkey via explicit hash-bucket co-location, then grouped agg."""
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
     from dqm_ray.functions.joins import partitioned_hash_join
 
     li = _read_sf(sf_dir, "lineitem",
@@ -462,21 +453,7 @@ def _q_join_order_lines(sf_dir: str):
         lambda t: t.rename_columns(["orderkey", "o_orderpriority"]),
         batch_format="pyarrow")
     joined = partitioned_hash_join(li, orders, on="orderkey")
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = batch.to_pandas()
-        df["n_lines"] = np.int64(1)
-        df["sum_qty"] = df["l_quantity"].astype(np.int64)
-        g = df.groupby("o_orderpriority", as_index=False)[
-            ["n_lines", "sum_qty"]].sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    return joined.map_batches(partial, batch_format="pyarrow") \
-        .groupby("o_orderpriority").aggregate(
-            Sum("n_lines", alias_name="n_lines"),
-            Sum("sum_qty", alias_name="sum_qty"))
+    return _lines_per_priority(joined, "join_order_lines")
 
 
 def _q_join_native(sf_dir: str):
@@ -484,30 +461,13 @@ def _q_join_native(sf_dir: str):
     hash-partitioned ``Dataset.join`` (available in this Ray version) —
     both the explicit bucketed pattern and the native operator are
     supported."""
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
     li = _read_sf(sf_dir, "lineitem",
                          columns=["l_orderkey", "l_quantity"])
     orders = _read_sf(sf_dir, "orders",
                              columns=["o_orderkey", "o_orderpriority"])
     joined = li.join(orders, "inner", num_partitions=16,
                      on=("l_orderkey",), right_on=("o_orderkey",))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = batch.to_pandas()
-        df["n_lines"] = np.int64(1)
-        df["sum_qty"] = df["l_quantity"].astype(np.int64)
-        g = df.groupby("o_orderpriority", as_index=False)[
-            ["n_lines", "sum_qty"]].sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    return joined.map_batches(partial, batch_format="pyarrow") \
-        .groupby("o_orderpriority").aggregate(
-            Sum("n_lines", alias_name="n_lines"),
-            Sum("sum_qty", alias_name="sum_qty"))
+    return _lines_per_priority(joined, "join_native")
 
 
 def _q_top_orders(sf_dir: str):
@@ -527,26 +487,16 @@ def _q_top_orders(sf_dir: str):
 def _q_union_counts(sf_dir: str):
     """Set op: union of two filtered subsets, then grouped count."""
     import pyarrow.dataset as pads
-    import ray.data as rd
-    from ray.data.aggregate import Sum
 
-    path = os.path.join(sf_dir, "documents.parquet")
+    from dqm_ray.state.reduce import grouped_aggregate
+
     # ONE pruned read with an isin row filter (a union of two separate
     # filtered reads of the same file would scan matching row groups
     # twice); Dataset.union itself is exercised by the join operators
     both = _read_sf(sf_dir, "documents", columns=["lang", "source"],
                     filter=(pads.field("lang").isin(["de", "zh"])))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        df = batch.to_pandas()
-        df["n"] = np.int64(1)
-        g = df.groupby(["lang", "source"], as_index=False)["n"].sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    return both.map_batches(partial, batch_format="pyarrow") \
-        .groupby(["lang", "source"]).aggregate(Sum("n", alias_name="n"))
+    return grouped_aggregate(both, lambda b: b, ["lang", "source"],
+                             {"n": "count"}, what="union_counts")
 
 
 def _q_user_sessions(sf_dir: str):
@@ -592,7 +542,7 @@ def _q_repetition_stats(sf_dir: str):
 
 def _q_pack_sequences(sf_dir: str):
     """Training-sequence packing: global exclusive token-offset scan
-    (range-binned two-phase prefix sum — shuffle moves only 256
+    (range-binned two-phase prefix sum — the bin sums move only 256
     (bin, sum) integer rows, never documents) then seq_id =
     offset // budget. Distributed restatement of the reference's
     sequential record numbering (src/DQMModule.cxx run loop)."""
@@ -625,8 +575,8 @@ def _q_mixture_epochs(sf_dir: str):
 
 
 def _q_tfidf_keywords(sf_dir: str):
-    """Per-doc top-3 TF-IDF keywords: vocabulary-bounded df shuffle +
-    broadcast df table; integer-quantized IDF for exact SQL parity."""
+    """Per-doc top-3 TF-IDF keywords: vocabulary-bounded grouped df sum
+    + broadcast df table; integer-quantized IDF for exact SQL parity."""
     from dqm_ray.functions.text import tfidf_keywords
 
     ds = _docs(sf_dir, columns=["doc_id", "text"])
@@ -677,8 +627,8 @@ def _q_quantize_embeddings(sf_dir: str):
 
 def _q_train_bigram_lm(sf_dir: str):
     """Distributed char-bigram LM training (the scorer's model as a
-    counting job): bounded |langs|x128x128 counter shuffle, top-20
-    bigrams per lang."""
+    counting job): one grouped sum over bounded |langs|x128x128
+    counters, top-20 bigrams per lang."""
     from dqm_ray.functions.lm import train_bigram_lm
 
     ds = _docs(sf_dir, columns=["lang", "text"])
@@ -798,31 +748,27 @@ def _q_props_stats(sf_dir: str):
     """Semi-structured column handling: parse the JSON props payload
     per event (stdlib json — per-record parsing is inherent to the
     format, the same justified-per-row class as sha256; everything
-    after extraction is vectorized partial aggregation) and aggregate
-    the extracted field per event_type."""
+    after extraction is one grouped aggregate) and aggregate the
+    extracted field per event_type."""
     import json
 
-    import ray.data as rd
-    from ray.data.aggregate import Count, Max, Min, Sum
+    from dqm_ray.state.reduce import grouped_aggregate
 
     ds = _read_sf(sf_dir, "events",
                          columns=["event_type", "props"])
 
     def extract(batch: pa.Table) -> pa.Table:
-        ks = np.fromiter(
+        ks = pa.array(np.fromiter(
             (json.loads(p)["k"] for p in
              batch.column("props").to_pylist()),
-            dtype=np.int64, count=len(batch))
+            dtype=np.int64, count=len(batch)), pa.int64())
         return pa.table({"event_type": batch.column("event_type"),
-                         "k": pa.array(ks, pa.int64())})
+                         "sum_k": ks, "min_k": ks, "max_k": ks})
 
-    return ds.map_batches(extract, batch_format="pyarrow",
-                          num_cpus=1) \
-        .groupby("event_type") \
-        .aggregate(Count(alias_name="n"),
-                   Sum("k", alias_name="sum_k"),
-                   Min("k", alias_name="min_k"),
-                   Max("k", alias_name="max_k"))
+    return grouped_aggregate(
+        ds, extract, ["event_type"],
+        {"n": "count", "sum_k": "sum", "min_k": "min", "max_k": "max"},
+        what="props_stats")
 
 
 def _q_grouped_split(sf_dir: str):
@@ -869,8 +815,10 @@ def _ingest_parity(sf_dir: str, fmt: str):
     ray.data reader, reduced to per-lang counts + char sums — must
     equal the DuckDB result computed from the PARQUET table, proving
     the format loses nothing. S1/S3 source analog."""
+    import pyarrow.compute as pc
     import ray.data as rd
-    from ray.data.aggregate import Count, Sum
+
+    from dqm_ray.state.reduce import grouped_aggregate
 
     cdir = os.path.join(_CACHE, f"docs_{fmt}_" +
                         hashlib.sha256(sf_dir.encode()).hexdigest()[:12])
@@ -880,19 +828,16 @@ def _ingest_parity(sf_dir: str, fmt: str):
         getattr(src, f"write_{fmt}")(tmp)
         os.replace(tmp, cdir)
     reader = {"json": rd.read_json, "csv": rd.read_csv}[fmt]
-    ds = reader(cdir)
-    import pyarrow.compute as pc
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def prep(batch: pa.Table) -> pa.Table:
         return pa.table({
             "lang": batch.column("lang"),
-            "n_chars": pc.cast(batch.column("n_chars"), pa.int64()),
+            "sum_chars": pc.cast(batch.column("n_chars"), pa.int64()),
         })
 
-    return ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("lang") \
-        .aggregate(Count(alias_name="n_docs"),
-                   Sum("n_chars", alias_name="sum_chars"))
+    return grouped_aggregate(reader(cdir), prep, ["lang"],
+                             {"n_docs": "count", "sum_chars": "sum"},
+                             what=f"{fmt}_ingest")
 
 
 def _q_jsonl_ingest(sf_dir: str):
@@ -1096,33 +1041,30 @@ def _q_shuffle_order(sf_dir: str):
 
 def _q_events_sliding(sf_dir: str):
     """Sliding window (1 h wide, 30 min hop): each event lands in exactly
-    two windows — emit both window keys per row inside map_batches, then
-    partial-agg → tiny groupby (no per-window shuffle of raw events)."""
-    import pandas as pd
+    two windows — emit both window keys per row, then one grouped count
+    (no per-window shuffle of raw events)."""
+    import datetime
+
     import pyarrow.compute as pc
-    import ray.data as rd
-    from ray.data.aggregate import Sum
+
+    from dqm_ray.state.reduce import grouped_aggregate
 
     ds = _read_sf(sf_dir, "events",
                          columns=["event_type", "ts"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        w1 = pc.floor_temporal(batch.column("ts"), multiple=30, unit="minute")
-        w1 = w1.to_pandas()
-        w0 = w1 - pd.Timedelta(minutes=30)
-        et = batch.column("event_type").to_pylist()
-        df = pd.DataFrame({"event_type": et + et,
-                           "window_start": pd.concat([w1, w0],
-                                                     ignore_index=True),
-                           "n": np.int64(1)})
-        g = df.groupby(["event_type", "window_start"], as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def prep(batch: pa.Table) -> pa.Table:
+        w1 = pc.floor_temporal(batch.column("ts"), multiple=30,
+                               unit="minute")
+        w0 = pc.subtract(w1, pa.scalar(datetime.timedelta(minutes=30),
+                                       pa.duration("us")))
+        et = batch.column("event_type")
+        return pa.table({
+            "event_type": pa.chunked_array(et.chunks * 2, et.type),
+            "window_start": pa.chunked_array(w1.chunks + w0.chunks,
+                                             w1.type)})
 
-    out = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(["event_type", "window_start"]) \
-        .aggregate(Sum("n", alias_name="n")).to_pandas()
-    out["window_start"] = out["window_start"].astype("datetime64[us]")
-    return out
+    return grouped_aggregate(ds, prep, ["event_type", "window_start"],
+                             {"n": "count"}, what="events_sliding")
 
 
 def _q_ngram_jaccard_pairs(sf_dir: str):
@@ -1226,13 +1168,14 @@ def _q_asof_prior_view(sf_dir: str):
 
 
 def _q_salted_group_stats(sf_dir: str):
-    """Salted two-level aggregation (explicit skew handling): count +
-    sum(n_chars) per lang, hot keys spread over 8 salted reducers then
-    merged — values identical to a plain GROUP BY."""
+    """Skewed grouped aggregation: count + sum(n_chars) per lang, each
+    block's rows first reduced to one partial per lang, so a hot lang
+    sends one row per block to its part — values identical to a plain
+    GROUP BY (functions/skew.py)."""
     from dqm_ray.functions.skew import salted_count_sum
 
     ds = _docs(sf_dir, columns=["lang", "n_chars"])
-    return salted_count_sum(ds, key="lang", sum_cols=("n_chars",), salt=8)
+    return salted_count_sum(ds, key="lang", sum_cols=("n_chars",))
 
 
 def _q_raw_sample(sf_dir: str):
@@ -1657,40 +1600,35 @@ def _q_dedup_spans(sf_dir: str):
 def _q_dup_report(sf_dir: str):
     """Per-lang duplication observability: doc count, distinct-text
     count (by sha256 — hash-equal ≡ text-equal at 2^-128, the
-    exact_dedup contract) and excess-copy count. Two tiny counter
-    shuffles; content never moves."""
-    import ray.data as rd  # noqa: F401
-    from ray.data.aggregate import Count, Sum
+    exact_dedup contract) and excess-copy count. One grouped count per
+    (sha, lang), its parts cut by sha, then a per-lang fold of its rows;
+    content never moves."""
+    import pyarrow.compute as pc
 
     from dqm_ray.stages.lineage import sha256_column
+    from dqm_ray.state.reduce import grouped_aggregate
 
     ds = _docs(sf_dir, columns=["lang", "text"])
 
     def key(batch: pa.Table) -> pa.Table:
         return pa.table({
-            "lang": batch.column("lang"),
             "__sha": sha256_column(batch.column("text")
                                    .combine_chunks()),
-        })
-
-    per_text = ds.map_batches(key, batch_format="pyarrow") \
-        .groupby(["lang", "__sha"]).aggregate(Count(alias_name="n"))
-    out = per_text.groupby("lang").aggregate(
-        Count(alias_name="n_unique"), Sum("n", alias_name="n_docs"))
-
-    def finish(batch: pa.Table) -> pa.Table:
-        nd = batch.column("n_docs").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        nu = batch.column("n_unique").to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        return pa.table({
             "lang": batch.column("lang"),
-            "n_docs": pa.array(nd, pa.int64()),
-            "n_unique": pa.array(nu, pa.int64()),
-            "n_dup_docs": pa.array(nd - nu, pa.int64()),
         })
 
-    return out.map_batches(finish, batch_format="pyarrow")
+    def copies(t: pa.Table) -> pa.Table:
+        return pa.table({"lang": t.column("lang"), "n_docs": t.column("n")})
+
+    def dups(t: pa.Table) -> pa.Table:
+        return t.append_column("n_dup_docs", pc.subtract(
+            t.column("n_docs"), t.column("n_unique")))
+
+    counts = grouped_aggregate(ds, key, ["__sha", "lang"], {"n": "count"},
+                               what="dup_report")
+    return grouped_aggregate(counts, copies, ["lang"],
+                             {"n_docs": "sum", "n_unique": "count"},
+                             what="dup_report_lang", finish=dups)
 
 
 def _q_funnel(sf_dir: str):
@@ -1892,7 +1830,7 @@ def _q_stratified_sample(sf_dir: str):
 
 def _q_length_quantiles(sf_dir: str):
     """Exact per-lang p50/p90/p99 of n_chars via the bounded value-count
-    histogram — reads two integer columns, shuffles only (lang, value,
+    histogram — reads two integer columns, merges only (lang, value,
     count) rows."""
     from dqm_ray.functions.quantiles import grouped_discrete_quantiles
 
@@ -1939,11 +1877,8 @@ def _q_bucketed_join(sf_dir: str):
     — the write-time partitioning pays for every later join."""
     import shutil
 
-    import pandas as pd
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
     from dqm_ray.sources.bucketed import bucketed_join, write_bucketed
+    from dqm_ray.state.reduce import grouped_aggregate
 
     sf = os.path.basename(os.path.normpath(sf_dir))
     base = os.path.join(_CACHE, f"bucketed_v1_{sf}")
@@ -1973,23 +1908,16 @@ def _q_bucketed_join(sf_dir: str):
             shutil.rmtree(tmp, ignore_errors=True)
     joined = bucketed_join(da, db, on="custkey", num_buckets=16)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        if not len(df):
-            return pa.table({"c_nationkey": pa.array([], pa.int64()),
-                             "n_orders": pa.array([], pa.int64()),
-                             "revenue_cents": pa.array([], pa.int64())})
-        df["revenue_cents"] = np.round(
-            df["o_totalprice"].to_numpy() * 100).astype(np.int64)
-        df["n_orders"] = np.int64(1)
-        g = df.groupby("c_nationkey", as_index=False)[
-            ["n_orders", "revenue_cents"]].sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def prep(batch: pa.Table) -> pa.Table:
+        price = batch.column("o_totalprice").to_numpy(zero_copy_only=False)
+        return pa.table({
+            "c_nationkey": batch.column("c_nationkey").cast(pa.int64()),
+            "revenue_cents": np.round(price * 100).astype(np.int64),
+        })
 
-    return joined.map_batches(partial, batch_format="pyarrow") \
-        .groupby("c_nationkey").aggregate(
-            Sum("n_orders", alias_name="n_orders"),
-            Sum("revenue_cents", alias_name="revenue_cents"))
+    return grouped_aggregate(joined, prep, ["c_nationkey"],
+                             {"n_orders": "count", "revenue_cents": "sum"},
+                             what="bucketed_join_revenue")
 
 
 def _q_events_in_window(sf_dir: str):
@@ -1997,11 +1925,10 @@ def _q_events_in_window(sf_dir: str):
     same-user events in the preceding 30 minutes — binned interval
     join (one bin per point, hash-part co-location), no all-pairs."""
     import pyarrow.compute as pc
-    import ray.data as rd
 
     from dqm_ray.functions.joins import interval_join
+    from dqm_ray.state.reduce import grouped_aggregate
 
-    path = os.path.join(sf_dir, "events.parquet")
     half_hour_us = 30 * 60 * 1_000_000
 
     def mk_intervals(b: pa.Table) -> pa.Table:
@@ -2022,10 +1949,9 @@ def _q_events_in_window(sf_dir: str):
         intervals, points, by="user_id", start_col="w_start",
         end_col="w_end", point_col="ts", int_id="purchase_id",
         point_id="event_id", bin_width_us=half_hour_us)
-    out = pairs.groupby("purchase_id").count()
-    return out.map_batches(
-        lambda t: t.rename_columns(["purchase_id", "n"]),
-        batch_format="pyarrow")
+    return grouped_aggregate(pairs, lambda b: b.select(["purchase_id"]),
+                             ["purchase_id"], {"n": "count"},
+                             what="events_in_window")
 
 
 def _q_windowed_counts(sf_dir: str):
@@ -2147,8 +2073,8 @@ def _q_importance_sample(sf_dir: str):
 
 def _q_top_terms(sf_dir: str):
     """Corpus heavy hitters: top-100 lowercase word tokens by frequency
-    (ties by term) — per-batch Arrow tokenize + value_counts, vocabulary-
-    bounded shuffle, distributed sort + limit."""
+    (ties by term) — per-block Arrow tokenize + value_counts, one
+    vocabulary-bounded grouped sum, top k per key part, then overall."""
     from dqm_ray.functions.text import top_terms
 
     return top_terms(_docs(sf_dir, columns=["text"]), k=100)
@@ -2187,11 +2113,10 @@ def _q_anti_join_no_urgent(sf_dir: str):
     """Customers with no URGENT-priority order, counted per market
     segment — left anti join (distinct right keys broadcast, payload
     side never shuffles)."""
-    import ray.data as rd
     import pyarrow.dataset as pads
-    from ray.data.aggregate import Count
 
     from dqm_ray.functions.joins import anti_join
+    from dqm_ray.state.reduce import grouped_aggregate
 
     cust = _read_sf(sf_dir, "customer",
                            columns=["c_custkey", "c_mktsegment"])
@@ -2199,8 +2124,9 @@ def _q_anti_join_no_urgent(sf_dir: str):
         sf_dir, "orders", columns=["o_custkey"],
         filter=(pads.field("o_orderpriority") == "1-URGENT"))
     left = anti_join(cust, urgent, on="c_custkey", right_on="o_custkey")
-    return left.groupby("c_mktsegment").aggregate(
-        Count(alias_name="n_customers"))
+    return grouped_aggregate(left, lambda b: b.select(["c_mktsegment"]),
+                             ["c_mktsegment"], {"n_customers": "count"},
+                             what="anti_join_no_urgent")
 
 
 def _q_rollup_revenue(sf_dir: str):
@@ -2209,30 +2135,25 @@ def _q_rollup_revenue(sf_dir: str):
     derive from the TINY leaf aggregate driver-side (exact for
     sum/count) — no extra pass over the fact table."""
     import pandas as pd
-    import ray.data as rd
-    from ray.data.aggregate import Sum
+
+    from dqm_ray.state.reduce import collect, grouped_aggregate
 
     ds = _read_sf(
         sf_dir, "lineitem",
         columns=["l_returnflag", "l_linestatus", "l_extendedprice"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
+    def prep(batch: pa.Table) -> pa.Table:
         ep = batch.column("l_extendedprice").to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({
-            "l_returnflag": batch.column("l_returnflag").to_pylist(),
-            "l_linestatus": batch.column("l_linestatus").to_pylist(),
+        return pa.table({
+            "l_returnflag": batch.column("l_returnflag"),
+            "l_linestatus": batch.column("l_linestatus"),
             "revenue_cents": np.round(ep * 100).astype(np.int64),
-            "n_lines": np.ones(len(batch), dtype=np.int64),
         })
-        g = df.groupby(["l_returnflag", "l_linestatus"], as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
 
-    leaf = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(["l_returnflag", "l_linestatus"]).aggregate(
-            Sum("revenue_cents", alias_name="revenue_cents"),
-            Sum("n_lines", alias_name="n_lines")).to_pandas()
+    leaf = collect(grouped_aggregate(
+        ds, prep, ["l_returnflag", "l_linestatus"],
+        {"revenue_cents": "sum", "n_lines": "count"},
+        what="rollup_revenue")).to_pandas()
     mid = leaf.groupby("l_returnflag", as_index=False)[
         ["revenue_cents", "n_lines"]].sum()
     mid["l_linestatus"] = "ALL"
@@ -3315,7 +3236,10 @@ _QUALITY_EXPR = """0.25 * (
 def _span_cut_ctes(k: int) -> str:
     """The span-cut CTE block (anchors → agg) shared by the
     dedup_spans and webprep oracles — one builder so the two sides
-    cannot drift (the zscore_sql pattern)."""
+    cannot drift (the zscore_sql pattern). Positions are codepoints and
+    the Ray side's are UTF-8 bytes, so the two agree only on ASCII
+    text, the precondition the gram CTEs already rely on (see
+    :func:`_span_scrub_oracle_sql`)."""
     return f"""anchors AS (
           SELECT gram, min(doc_id * 4294967296 + i - 1) AS w
           FROM pos_grams WHERE (i - 1) % {k} = 0 GROUP BY gram),

@@ -139,29 +139,23 @@ def perplexity_buckets(ds, logq: np.ndarray, *, text_col: str = "text",
     elif n_bins != nb:
         width = max((width * nb) // n_bins + 1, 1)
 
-    def count_partial(batch: pa.Table) -> pa.Table:
+    def lang_bin(batch: pa.Table) -> pa.Table:
         m = batch.column("ppl_micro").to_numpy(zero_copy_only=False)
-        langs = batch.column(lang_col).to_numpy(zero_copy_only=False)
-        b = _bin_of(m.astype(np.int64), lo, width)
-        df = pd.DataFrame({"lang": langs, "bin": b})
-        g = df.groupby(["lang", "bin"], sort=False).size().reset_index()
         return pa.table({
-            lang_col: pa.array(g["lang"].to_numpy(dtype=object),
-                               pa.string()),
-            "bin": pa.array(g["bin"].to_numpy(), pa.int64()),
-            "c": pa.array(g[0].to_numpy().astype(np.int64), pa.int64()),
-        })
+            lang_col: batch.column(lang_col),
+            "bin": pa.array(_bin_of(m.astype(np.int64), lo, width),
+                            pa.int64())})
 
-    from ray.data.aggregate import Sum
+    from dqm_ray.state.reduce import collect, grouped_aggregate
 
     # bounded driver artifact: n_langs x n_bins counters
-    rows = scored.map_batches(count_partial, batch_format="pyarrow") \
-        .groupby([lang_col, "bin"]).aggregate(Sum("c", alias_name="c")) \
-        .take_all()
+    counts = collect(grouped_aggregate(scored, lang_bin, [lang_col, "bin"],
+                                       {"c": "count"},
+                                       what="perplexity_buckets"))
     per_lang: dict[str, np.ndarray] = {}
-    for r in rows:
-        arr = per_lang.setdefault(r[lang_col], np.zeros(n_bins, np.int64))
-        arr[int(r["bin"])] = int(r["c"])
+    for lang, b, c in zip(*(counts.column(x).to_pylist()
+                            for x in (lang_col, "bin", "c"))):
+        per_lang.setdefault(lang, np.zeros(n_bins, np.int64))[b] = c
     # skew guard (driver-side, free: the counts are already here): a
     # (lang, bin) group is sorted whole on one worker, so a
     # concentrated perplexity distribution — many docs sharing one

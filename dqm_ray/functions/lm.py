@@ -2,9 +2,9 @@
 produces the char-bigram table the flagship's scorer consumes
 (stages/scorer.py VectorBigramModel; external-model injection path).
 At corpus scale, "training" an n-gram LM is exactly a distributed
-count: per-batch bincount partials over a bounded vocabulary
-(|langs| x 128 x 128 cells), one tiny groupby-sum, zero content
-through the shuffle.
+count: per-block bincount partials over a bounded vocabulary
+(|langs| x 128 x 128 cells) merged by one grouped aggregate, zero
+content moved.
 
 ASCII-pair semantics shared bitwise with the SQL oracle: a bigram is
 counted iff BOTH codepoints are < 128. Over raw utf8 BYTES that is
@@ -21,7 +21,6 @@ model.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 V = 128  # ASCII vocabulary; bigram space V*V per stratum
@@ -32,8 +31,6 @@ def train_bigram_lm(ds, *, text_col: str = "text",
     """Per-lang char-bigram counts; with ``top_k``, the k most frequent
     bigrams per lang (ties: c1 ASC, c2 ASC). Returns a Dataset
     (lang, c1, c2, n[, rank])."""
-    from ray.data.aggregate import Sum
-
     from dqm_ray.stages.rules import string_buffer_view
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -80,24 +77,7 @@ def train_bigram_lm(ds, *, text_col: str = "text",
             "n": pa.array(cnt[nz], pa.int64()),
         })
 
-    counts = ds.map_batches(partial, batch_format="pyarrow",
-                            num_cpus=1) \
-        .groupby([lang_col, "code"]).aggregate(Sum("n", alias_name="n"))
-
-    def finish(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.copy()
-        g["c1"] = g["code"].to_numpy() // V
-        g["c2"] = g["code"].to_numpy() % V
-        g = g.sort_values(["n", "c1", "c2"],
-                          ascending=[False, True, True])
-        if top_k is not None:
-            g = g.head(top_k)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[[lang_col, "c1", "c2", "n", "rank"]]
-
-    # bounded groups: one per lang, <= V*V rows each
-    return counts.groupby(lang_col).map_groups(finish,
-                                               batch_format="pandas")
+    return _top_codes(ds, partial, lang_col, top_k, 2, "train_bigram_lm")
 
 
 def train_trigram_lm(ds, *, text_col: str = "text",
@@ -107,11 +87,9 @@ def train_trigram_lm(ds, *, text_col: str = "text",
     three consecutive bytes < 128 are exactly three consecutive ASCII
     codepoints). The trigram space is sparse, so per-batch partials
     compact via ``np.unique`` over composite codes instead of a dense
-    V^3 bincount; the shuffle carries one (lang, code, n) row per
-    distinct batch trigram. Returns (lang, c1, c2, c3, n[, rank]);
+    V^3 bincount; a block's partial holds one (lang, code, n) row per
+    distinct trigram. Returns (lang, c1, c2, c3, n[, rank]);
     ties: c1, c2, c3 ASC."""
-    from ray.data.aggregate import Sum
-
     from dqm_ray.stages.rules import string_buffer_view
 
     V3, V2 = V * V * V, V * V
@@ -156,22 +134,32 @@ def train_trigram_lm(ds, *, text_col: str = "text",
             "n": pa.array(cnt.astype(np.int64), pa.int64()),
         })
 
-    counts = ds.map_batches(partial, batch_format="pyarrow",
-                            num_cpus=1) \
-        .groupby([lang_col, "code"]).aggregate(Sum("n", alias_name="n"))
+    return _top_codes(ds, partial, lang_col, top_k, 3, "train_trigram_lm")
 
-    def finish(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.copy()
-        code = g["code"].to_numpy()
-        g["c1"] = code // V2
-        g["c2"] = (code // V) % V
-        g["c3"] = code % V
-        g = g.sort_values(["n", "c1", "c2", "c3"],
-                          ascending=[False, True, True, True])
+
+def _top_codes(ds, partial, lang_col: str, top_k: int | None, order: int,
+               what: str):
+    """The per-(lang, code) sums of the ``(lang, code, n)`` partials,
+    each code split into its ``order`` characters c1, c2, ...; with
+    ``top_k``, each lang's ``top_k`` most frequent codes (ties: code
+    ASC, i.e. c1, c2, ... ASC), ``rank`` counting from 1 within a lang.
+    One sort per part ranks every lang it holds."""
+    from dqm_ray.state.reduce import grouped_aggregate, run_starts
+
+    def finish(t: pa.Table) -> pa.Table:
+        t = t.sort_by([(lang_col, "ascending"), ("n", "descending"),
+                       ("code", "ascending")])
+        new = run_starts(t.column(lang_col).to_numpy(zero_copy_only=False))
+        first = np.flatnonzero(new)[np.cumsum(new) - 1]
+        rank = np.arange(t.num_rows) - first + 1
         if top_k is not None:
-            g = g.head(top_k)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[[lang_col, "c1", "c2", "c3", "n", "rank"]]
+            t, rank = t.filter(pa.array(rank <= top_k)), rank[rank <= top_k]
+        code = t.column("code").to_numpy()
+        return pa.table({
+            lang_col: t.column(lang_col),
+            **{f"c{i + 1}": pa.array(code // V ** (order - 1 - i) % V)
+               for i in range(order)},
+            "n": t.column("n"), "rank": pa.array(rank)})
 
-    return counts.groupby(lang_col).map_groups(finish,
-                                               batch_format="pandas")
+    return grouped_aggregate(ds, partial, [lang_col, "code"], {"n": "sum"},
+                             what=what, finish=finish)

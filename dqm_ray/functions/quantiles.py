@@ -2,11 +2,11 @@
 
 A distributed sort-based percentile moves every row; for discrete
 metrics (lengths, counts, scores-in-buckets) the value-count histogram
-is exact and tiny: per-batch partial (group, value, n) counts shrink
-the shuffle to |groups| x |distinct values| rows, then one map_groups
-pass per group walks its sorted histogram. Nothing unbounded touches a
-single task: a group's state is its distinct-value histogram, not its
-rows.
+is exact and tiny: one grouped count per (group, value) — per-block
+partials of |groups| x |distinct values| rows — then one sorted pass
+over each key part walks every group's histogram. Nothing unbounded
+touches a single task: a group's state is its distinct-value
+histogram, not its rows.
 
 Quantile definition = SQL ``quantile_disc`` / ``percentile_disc``: the
 smallest value whose cumulative count reaches ``ceil(q * N)`` — exact
@@ -22,7 +22,6 @@ over grouped streams.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 
@@ -34,33 +33,43 @@ def grouped_discrete_quantiles(ds, *, group_col: str, value_col: str,
     Returns one row per group with columns ``(group_col, *names)``;
     ``names`` defaults to ``p50``-style labels from ``qs``.
     """
-    from ray.data.aggregate import Sum
+    from dqm_ray.state.reduce import grouped_aggregate
 
     names = names or tuple(f"p{int(round(q * 100))}" for q in qs)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.column(group_col).to_numpy(zero_copy_only=False)
-        v = batch.column(value_col).to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({group_col: g, value_col: v})
-        out = df.groupby([group_col, value_col], as_index=False,
-                         sort=False).size()
-        return pa.table({group_col: pa.array(out[group_col]),
-                         value_col: pa.array(out[value_col].astype(np.int64)),
-                         "n": pa.array(out["size"].astype(np.int64))})
+    def prep(batch: pa.Table) -> pa.Table:
+        return pa.table({group_col: batch.column(group_col),
+                         value_col: batch.column(value_col)
+                         .cast(pa.int64())})
 
-    hist = ds.map_batches(partial, batch_format="pyarrow", num_cpus=1) \
-        .groupby([group_col, value_col]).aggregate(Sum("n", alias_name="n"))
-
-    def quantiles(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.argsort(g[value_col].to_numpy(), kind="stable")
-        vals = g[value_col].to_numpy()[order]
-        cum = np.cumsum(g["n"].to_numpy()[order])
-        total = cum[-1]
-        row = {group_col: [g[group_col].iloc[0]]}
+    def quantiles(t: pa.Table) -> pa.Table:
+        t = t.sort_by([(group_col, "ascending"), (value_col, "ascending")])
+        vals = t.column(value_col).to_numpy()
+        starts, before, total, cum = group_cumsum(t, group_col, "n")
+        out = {group_col: t.column(group_col).take(pa.array(starts))}
         for q, name in zip(qs, names):
-            target = max(int(np.ceil(q * total)), 1)
-            row[name] = [vals[np.searchsorted(cum, target)]]
-        return pd.DataFrame(row)
+            target = np.maximum(np.ceil(q * total).astype(np.int64), 1)
+            out[name] = pa.array(vals[np.searchsorted(cum, before + target)])
+        return pa.table(out)
 
-    return hist.groupby(group_col).map_groups(quantiles,
-                                              batch_format="pandas")
+    return grouped_aggregate(ds, prep, [group_col, value_col],
+                             {"n": "count"},
+                             what="grouped_discrete_quantiles",
+                             finish=quantiles)
+
+
+def group_cumsum(t: pa.Table, group_col: str, n_col: str):
+    """For ``t`` sorted by ``group_col``: ``(starts, before, total,
+    cum)`` — per group its first row, the running ``n_col`` sum before
+    that row and its own sum, and the running sum over all rows, so a
+    group's k-th unit (k >= 1) lies at row ``searchsorted(cum, before
+    + k)``."""
+    from dqm_ray.state.reduce import run_starts
+
+    n = t.column(n_col).to_numpy()
+    cum = np.cumsum(n)
+    starts = np.flatnonzero(run_starts(
+        t.column(group_col).to_numpy(zero_copy_only=False)))
+    before = cum[starts] - n[starts]
+    total = np.diff(np.r_[before, cum[-1] if len(cum) else 0])
+    return starts, before, total, cum

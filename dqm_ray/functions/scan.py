@@ -7,9 +7,9 @@ sharding and byte-offset assignment.
 
 Scale shape (two-phase scan, no global sort):
 
-1. one pass computes per-RANGE-BIN partial sums — each batch emits at
-   most ``n_bins`` tiny ``(bin, sum)`` rows, so the shuffle moves
-   O(batches x bins) integers, never data rows;
+1. one grouped sum computes per-RANGE-BIN sums — each block's partial
+   holds at most ``n_bins`` tiny ``(bin, sum)`` rows, so O(blocks x
+   bins) integers move, never data rows;
 2. the driver folds the ~``n_bins`` bin sums into exclusive bin
    offsets (a few KB — this is the textbook scan's "spine" and is the
    only sequential step);
@@ -92,27 +92,19 @@ def ordered_prefix_sum(ds, *, order_col: str, value_col: str,
         return ds.map_batches(empty, batch_format="pyarrow")
     lo, width, n_bins = edges
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def bin_value(batch: pa.Table) -> pa.Table:
         k = batch.column(order_col).to_numpy(zero_copy_only=False) \
             .astype(np.int64)
-        v = batch.column(value_col).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        b = _bin_of(k, lo, width)
-        # exact int64 accumulation (bincount weights= would round-trip
-        # through float64 and lose >2^53 sums)
-        sums = np.zeros(n_bins, np.int64)
-        np.add.at(sums, b, v)
-        nz = np.nonzero(sums)[0]
-        return pa.table({"bin": pa.array(nz, pa.int64()),
-                         "s": pa.array(sums[nz], pa.int64())})
+        return pa.table({"bin": pa.array(_bin_of(k, lo, width), pa.int64()),
+                         "s": batch.column(value_col).cast(pa.int64())})
 
-    from ray.data.aggregate import Sum
+    from dqm_ray.state.reduce import collect, grouped_aggregate
 
-    bin_rows = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby("bin").aggregate(Sum("s", alias_name="s")).take_all()
+    # exact int64 sums (Arrow's int64 sum never goes through float64)
+    bins = collect(grouped_aggregate(ds, bin_value, ["bin"], {"s": "sum"},
+                                     what="ordered_prefix_sum"))
     sums = np.zeros(n_bins, np.int64)
-    for r in bin_rows:
-        sums[int(r["bin"])] = int(r["s"])
+    sums[bins.column("bin").to_numpy()] = bins.column("s").to_numpy()
     offsets = np.concatenate([[0], np.cumsum(sums)[:-1]])
 
     def add_bin(batch: pa.Table) -> pa.Table:

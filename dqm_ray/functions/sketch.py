@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 DEFAULT_S = 8  # sub-buckets per octave -> <= 12.5% relative error
 
@@ -63,55 +64,40 @@ def grouped_quantile_sketch(ds, *, group_col: str, value_col: str,
     """Per group: approximate quantiles (bucket lower edges) of a
     positive-integer column at integer percentiles ``pcts``.
 
-    Scale shape: per-batch np.bincount over packed (group, bucket)
-    codes -> the shuffle carries at most |groups| x 64 x s counter
-    rows per batch; one tiny groupby-sum; the final per-group walk
-    handles <= 64 x s buckets (map_groups over bounded groups).
-    Returns (group_col, n, p50, p90, ...) with int64 estimates.
+    Scale shape: one grouped count per (group, bucket) — a block's
+    partial holds at most |groups| x 64 x s counter rows — then one
+    sorted pass over each key part walks every group's <= 64 x s
+    buckets. Returns (group_col, n, p50, p90, ...) with int64
+    estimates.
     """
-    import pandas as pd
-    from ray.data.aggregate import Sum
+    from dqm_ray.functions.quantiles import group_cumsum
+    from dqm_ray.state.reduce import grouped_aggregate
 
-    names = tuple(f"p{p}" for p in pcts)
+    def prep(batch: pa.Table) -> pa.Table:
+        v = batch.column(value_col).cast(pa.int64())
+        batch = pa.table({group_col: batch.column(group_col), "v": v}) \
+            .filter(pc.greater_equal(v, 1))
+        return pa.table({
+            group_col: batch.column(group_col),
+            "bucket": pa.array(bucket_of(batch.column("v").to_numpy(), s),
+                               pa.int64())})
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.column(group_col).to_numpy(zero_copy_only=False)
-        v = batch.column(value_col).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        sel = v >= 1
-        g, v = g[sel], v[sel]
-        if not len(v):
-            return pa.table({group_col: pa.array([], batch.schema
-                                                 .field(group_col).type),
-                             "bucket": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64())})
-        b = bucket_of(v, s)
-        uniq, inv = np.unique(g, return_inverse=True)
-        nb = 64 * s
-        cnt = np.bincount(inv * nb + b, minlength=len(uniq) * nb)
-        nz = np.nonzero(cnt)[0]
-        return pa.table({group_col: pa.array(uniq[nz // nb]),
-                         "bucket": pa.array(nz % nb, pa.int64()),
-                         "n": pa.array(cnt[nz], pa.int64())})
+    def walk(t: pa.Table) -> pa.Table:
+        t = t.sort_by([(group_col, "ascending"), ("bucket", "ascending")])
+        buckets = t.column("bucket").to_numpy()
+        starts, before, total, cum = group_cumsum(t, group_col, "n")
+        out = {group_col: t.column(group_col).take(pa.array(starts)),
+               "n": pa.array(total, pa.int64())}
+        for pct in pcts:
+            # first bucket whose 100 * cum reaches pct * total
+            i = np.searchsorted(
+                cum, before + np.maximum((pct * total + 99) // 100, 1))
+            out[f"p{pct}"] = pa.array(bucket_lower_edge(buckets[i], s),
+                                      pa.int64())
+        return pa.table(out)
 
-    hist = ds.map_batches(partial, batch_format="pyarrow", num_cpus=1) \
-        .groupby([group_col, "bucket"]) \
-        .aggregate(Sum("n", alias_name="n"))
-
-    def walk(g: pd.DataFrame) -> pd.DataFrame:
-        order = np.argsort(g["bucket"].to_numpy(), kind="stable")
-        buckets = g["bucket"].to_numpy()[order]
-        cum = np.cumsum(g["n"].to_numpy()[order])
-        total = int(cum[-1])
-        row = {group_col: [g[group_col].iloc[0]],
-               "n": [np.int64(total)]}
-        for pct, name in zip(pcts, names):
-            i = int(np.searchsorted(100 * cum, pct * total))
-            row[name] = [np.int64(bucket_lower_edge(
-                np.int64(buckets[i]), s))]
-        return pd.DataFrame(row)
-
-    return hist.groupby(group_col).map_groups(walk, batch_format="pandas")
+    return grouped_aggregate(ds, prep, [group_col, "bucket"], {"n": "count"},
+                             what="grouped_quantile_sketch", finish=walk)
 
 
 def sketch_sql(table_expr: str, *, group_col: str, value_col: str,

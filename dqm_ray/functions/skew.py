@@ -1,62 +1,46 @@
-"""Skew handling — salted two-level aggregation.
+"""Skewed grouped aggregation and per-group z-scores.
 
 The reference never faces skew (fixed 256 channels/link, SURVEY §4.1);
 a source-code corpus does: repo sizes are heavy-tailed (the synthetic
-corpus makes `org0/repo0` ~30% of all rows on purpose). A plain
-``groupby(hot_key)`` would funnel a hot key's rows through one reduce
-task. The standard fix, expressed Ray-Data-first:
-
-1. salt: append ``salt = hash(row) % k`` so a hot key becomes k
-   (key, salt) sub-keys — partials of a hot key spread over k reducers;
-2. first-level aggregate over (key, salt);
-3. second-level (tiny) aggregate over key merges the k partials —
-   exactly the fill→merge split of the reference accumulators
-   (src/algs/STD.cpp:21-27), applied twice.
-
-Combined with per-batch pre-aggregation the shuffle carries one row per
-(key, salt) per batch regardless of skew.
+corpus makes `org0/repo0` ~30% of all rows on purpose). Shuffling a hot
+key's rows would funnel them through one reduce task; here no row
+moves: every block is first reduced to one partial row per key (the
+fill step of the reference accumulators, src/algs/STD.cpp:21-27), so a
+hot key sends at most one row per block to the part that merges it.
+That bound makes salting (k sub-keys per key, then a second merge)
+unnecessary.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
-def salted_count_sum(ds, *, key: str, sum_cols: tuple[str, ...] = (),
-                     salt: int = 8):
-    """count(*) + sums per key via salted two-level aggregation.
+def salted_count_sum(ds, *, key: str, sum_cols: tuple[str, ...] = ()):
+    """count(*) + integer sums per key on the keyed reduce's grouped
+    aggregate (see the module docstring for why no salt is needed).
     Returns a Dataset with columns (key, n, sum_<col>...)."""
-    from ray.data.aggregate import Sum
+    from dqm_ray.state.reduce import grouped_aggregate
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df["__salt"] = (np.arange(len(df), dtype=np.int64) % salt)
-        df["n"] = np.int64(1)
-        cols = ["n", *[f"sum_{c}" for c in sum_cols]]
-        for c in sum_cols:
-            df[f"sum_{c}"] = df[c].astype(np.int64)
-        g = df.groupby([key, "__salt"], as_index=False)[cols].sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
+    def prep(batch: pa.Table) -> pa.Table:
+        return pa.table(
+            [batch.column(key)] + [batch.column(c).cast(pa.int64())
+                                   for c in sum_cols],
+            names=[key, *[f"sum_{c}" for c in sum_cols]])
 
-    # level 1: shuffle keyed by (key, salt) — hot keys spread over `salt`
-    # reducers
-    aggs1 = [Sum("n", alias_name="n")] + [
-        Sum(f"sum_{c}", alias_name=f"sum_{c}") for c in sum_cols]
-    level1 = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby([key, "__salt"]).aggregate(*aggs1)
-    # level 2: tiny merge over at most (n_keys × salt) rows
-    aggs2 = [Sum("n", alias_name="n")] + [
-        Sum(f"sum_{c}", alias_name=f"sum_{c}") for c in sum_cols]
-    return level1.groupby(key).aggregate(*aggs2)
+    return grouped_aggregate(
+        ds, prep, [key],
+        {"n": "count", **{f"sum_{c}": "sum" for c in sum_cols}},
+        what="salted_count_sum")
 
 
 def grouped_zscore(ds, *, key_col: str, val_col: str,
                    out_col: str = "z_micro"):
     """Per-group z-score normalization of an INTEGER column with a
     bitwise cross-engine contract: group moments are exact int64 sums
-    (n, Σx, Σx²) merged through one bounded groupby, then every float
+    (n, Σx, Σx²) merged by one grouped aggregate, then every float
     op is a single pinned IEEE step mirrored verbatim in the SQL
     oracle —
 
@@ -69,33 +53,26 @@ def grouped_zscore(ds, *, key_col: str, val_col: str,
     Σx² must fit int64 (~1e9 rows of 1e4-magnitude values); past that,
     promote the partial to two int64 limbs.
 
-    Scale shape: per-batch partial moments -> tiny per-group merge ->
-    broadcast dict -> one vectorized normalization pass. The feature
-    -normalization step of a training-data pipeline; reference parity:
-    the fill/merge accumulator split of src/algs/STD.cpp:21-27."""
+    Scale shape: per-block partial moments -> the grouped aggregate's
+    per-key merge -> broadcast dict -> one vectorized normalization
+    pass. The feature-normalization step of a training-data pipeline;
+    reference parity: the fill/merge accumulator split of
+    src/algs/STD.cpp:21-27."""
     import ray
-    from ray.data.aggregate import Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).to_numpy(zero_copy_only=False)
-        x = batch.column(val_col).to_numpy(zero_copy_only=False) \
-            .astype(np.int64)
-        uniq, inv = np.unique(k, return_inverse=True)
-        n = np.bincount(inv).astype(np.int64)
-        s = np.zeros(len(uniq), np.int64)
-        ss = np.zeros(len(uniq), np.int64)
-        np.add.at(s, inv, x)
-        np.add.at(ss, inv, x * x)
-        return pa.table({key_col: pa.array(uniq),
-                         "n": pa.array(n), "s": pa.array(s),
-                         "ss": pa.array(ss)})
+    from dqm_ray.state.reduce import collect, grouped_aggregate
 
-    rows = ds.map_batches(partial, batch_format="pyarrow", num_cpus=1) \
-        .groupby(key_col).aggregate(
-            Sum("n", alias_name="n"), Sum("s", alias_name="s"),
-            Sum("ss", alias_name="ss")).take_all()
-    stats = {r[key_col]: (int(r["n"]), int(r["s"]), int(r["ss"]))
-             for r in rows}
+    def prep(batch: pa.Table) -> pa.Table:
+        x = batch.column(val_col).cast(pa.int64())
+        return pa.table({key_col: batch.column(key_col), "s": x,
+                         "ss": pc.multiply(x, x)})
+
+    t = collect(grouped_aggregate(
+        ds, prep, [key_col], {"n": "count", "s": "sum", "ss": "sum"},
+        what="grouped_zscore"))
+    stats = dict(zip(t.column(key_col).to_pylist(),
+                     zip(*(t.column(c).to_pylist()
+                           for c in ("n", "s", "ss")))))
     ref = ray.put(stats)
 
     def normalize(batch: pa.Table) -> pa.Table:

@@ -51,7 +51,9 @@ def _apply_cuts(text: pa.Array, rows: np.ndarray, locs: np.ndarray,
                 k: int):
     """Delete the union of byte spans [loc, loc+k) (one per (row, loc)
     flag) from a string array via one diff+cumsum pass over the raw
-    buffer; returns (cleaned LargeStringArray, removed_bytes_per_row)."""
+    buffer, widened to whole characters (a character goes if any of its
+    bytes is covered, so the output stays valid UTF-8); returns
+    (cleaned LargeStringArray, removed_bytes_per_row)."""
     from dqm_ray.stages.rules import string_buffer_view
 
     view = string_buffer_view(text)
@@ -69,6 +71,12 @@ def _apply_cuts(text: pa.Array, rows: np.ndarray, locs: np.ndarray,
     np.add.at(delta, g_start, 1)
     np.add.at(delta, g_start + k, -1)
     cover = np.cumsum(delta[:len(data)]) > 0
+    lead = (data & 0xC0) != 0x80  # not a UTF-8 continuation byte
+    if not lead.all():
+        char = np.cumsum(lead) - 1
+        cut = np.zeros(len(data), bool)
+        cut[char[cover]] = True
+        cover = cut[char]
     kept = data[~cover]
     cumcov = np.zeros(len(data) + 1, np.int64)
     np.cumsum(cover.astype(np.int64), out=cumcov[1:])

@@ -204,16 +204,20 @@ def top_terms(ds, *, text_col: str = "text", min_len: int = 2,
     """Corpus-wide heavy hitters: the k most frequent lowercase ASCII
     word tokens (``[a-z]+`` runs of ``lower(text)``, length >= min_len).
 
-    Scale shape: tokenization and first-level counting happen per batch
-    (Arrow split + value_counts — the shuffle moves (term, partial_count)
-    rows bounded by the vocabulary, never tokens), then one small
-    groupby-sum and a distributed sort + limit. Ties break by term
-    ascending so the top-k set is deterministic.
+    Scale shape: tokenization and first-level counting happen per block
+    (Arrow split + value_counts — (term, partial_count) rows bounded by
+    the vocabulary, never tokens), then one grouped sum whose key parts
+    each keep their top k, and the driver picks the top k of those.
+    Ties break by term ascending so the top-k set is deterministic.
 
     Reference parity: Counter-style raw stream reduced to a bounded
     export per window (include/dqm/ChannelStream.hpp export loop) —
     here the export is the global term histogram's top-k."""
-    from ray.data.aggregate import Sum
+    import ray.data as rd
+
+    from dqm_ray.state.reduce import collect, grouped_aggregate
+
+    order = [("n", "descending"), ("term", "ascending")]
 
     def partial(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(
@@ -226,10 +230,12 @@ def top_terms(ds, *, text_col: str = "text", min_len: int = 2,
         return pa.table({"term": vc.field("values"),
                          "n": vc.field("counts")})
 
-    return (ds.map_batches(partial, batch_format="pyarrow", num_cpus=1)
-            .groupby("term").aggregate(Sum("n", alias_name="n"))
-            .sort(["n", "term"], descending=[True, False])
-            .limit(k))
+    def top(t: pa.Table) -> pa.Table:
+        return t.sort_by(order).slice(0, k)
+
+    return rd.from_arrow(top(collect(grouped_aggregate(
+        ds, partial, ["term"], {"n": "sum"}, what="top_terms",
+        finish=top))))
 
 
 # integer-quantized IDF: idf_q = (IDF_SCALE*(N+1)) // (df+1). Pure
@@ -263,8 +269,8 @@ def tfidf_keywords(ds, *, text_col: str = "text", id_col: str = "doc_id",
 
     1. document frequency: per batch emit (term, n_docs_containing)
        partials — distinct (doc, term) pairs via one np.unique over
-       packed codes, so the shuffle moves at most |batch vocab| rows,
-       never tokens — then one groupby-sum; the resulting df table
+       packed codes, so a block's partial holds at most |block vocab|
+       rows, never tokens — then one grouped sum; the resulting df table
        (Heaps'-law sublinear in corpus size) is broadcast once via
        ray.put as sorted (vocab, df) arrays;
     2. scoring: per batch compute per-doc term counts (same packed
@@ -279,9 +285,8 @@ def tfidf_keywords(ds, *, text_col: str = "text", id_col: str = "doc_id",
     build-once lookup map applied per record
     (include/dqm/ChannelMapFiller.hpp:38-75).
     """
-    from ray.data.aggregate import Sum
-
     from dqm_ray.state.broadcast import Broadcast
+    from dqm_ray.state.reduce import collect, grouped_aggregate
 
     n_docs = ds.count()
 
@@ -297,15 +302,11 @@ def tfidf_keywords(ds, *, text_col: str = "text", id_col: str = "doc_id",
         return pa.table({"term": terms.take(pa.array(nz)),
                          "df_n": pa.array(cnt[nz], pa.int64())})
 
-    df_rows = ds.map_batches(df_partial, batch_format="pyarrow",
-                             num_cpus=1) \
-        .groupby("term").aggregate(Sum("df_n", alias_name="df_n")) \
-        .take_all()
-    vocab = np.sort(np.array([r["term"] for r in df_rows], dtype=object))
-    order = np.argsort(np.array([r["term"] for r in df_rows], dtype=object),
-                       kind="mergesort")
-    dfv = np.array([r["df_n"] for r in df_rows], dtype=np.int64)[order]
-    bc = Broadcast((vocab, dfv))
+    dft = collect(grouped_aggregate(ds, df_partial, ["term"],
+                                    {"df_n": "sum"}, what="tfidf_df")) \
+        .sort_by("term")
+    bc = Broadcast((dft.column("term").to_numpy(zero_copy_only=False),
+                    dft.column("df_n").to_numpy()))
 
     def score_batch(batch: pa.Table) -> pa.Table:
         parent, codes, terms = _doc_term_pairs(batch, text_col, min_len)

@@ -22,6 +22,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from dqm_ray.state.reduce import run_starts
+
 
 def _per_key(ds, cols: list, fn, *, key_col: str, what: str):
     """``fn`` over the hash parts (keyed on ``key_col``) of ``ds``'s
@@ -40,16 +42,6 @@ def to_us(col) -> np.ndarray:
     return a.astype(np.int64)
 
 
-def _run_starts(*cols: np.ndarray) -> np.ndarray:
-    """True where a row of the sorted ``cols`` starts a new run of equal
-    values."""
-    new = np.zeros(len(cols[0]), bool)
-    new[:1] = True
-    for c in cols:
-        new[1:] |= c[1:] != c[:-1]
-    return new
-
-
 def sessionize(ds, *, key_col: str = "user_id", ts_col: str = "ts",
                gap_minutes: int = 30):
     """Per-key session count: sessions are maximal runs of events with
@@ -63,7 +55,7 @@ def sessionize(ds, *, key_col: str = "user_id", ts_col: str = "ts",
         ts = to_us(t.column(ts_col))
         order = np.lexsort((ts, k))
         k, ts = k[order], ts[order]
-        new_key = _run_starts(k)
+        new_key = run_starts(k)
         breaks = new_key.copy()
         breaks[1:] |= (ts[1:] - ts[:-1]) > gap
         n = np.bincount(np.cumsum(new_key) - 1, weights=breaks) \
@@ -91,7 +83,7 @@ def key_deltas(ds, *, key_col: str = "user_id", ts_col: str = "ts"):
         ts = to_us(t.column(ts_col))
         order = np.lexsort((ts, k))
         k, ts = k[order], ts[order]
-        new_key = _run_starts(k)
+        new_key = run_starts(k)
         seg = np.cumsum(new_key) - 1
         n_events = np.bincount(seg).astype(np.int64)
         d_us = np.zeros(len(k), np.int64)
@@ -146,7 +138,7 @@ def rate_limit(ds, *, key_col: str = "user_id", ts_col: str = "ts",
         win = _window_start(ts, window_minutes)
         order = np.lexsort((ids, ts, win, key))
         key, win = key[order], win[order]
-        starts = np.nonzero(_run_starts(key, win))[0]
+        starts = np.nonzero(run_starts(key, win))[0]
         seg_len = np.diff(np.r_[starts, len(key)])
         rn = np.arange(len(key)) - np.repeat(starts, seg_len)
         keep = rn < k
@@ -188,7 +180,7 @@ def trending(ds, *, ts_col: str = "ts", key_col: str = "event_type",
         n = g.column("count_all_sum").to_numpy()
         order = np.lexsort((key, -n, win))
         win, n = win[order], n[order]
-        starts = np.nonzero(_run_starts(win))[0]
+        starts = np.nonzero(run_starts(win))[0]
         seg_len = np.diff(np.r_[starts, len(win)])
         rn = np.arange(len(win)) - np.repeat(starts, seg_len) + 1
         keep = rn <= k
@@ -225,7 +217,7 @@ def funnel(ds, *, user_col: str = "user_id", ts_col: str = "ts",
         o = np.lexsort((is_click, t, u))
         u, t, is_view, is_click = u[o], t[o], is_view[o], is_click[o]
         n = len(u)
-        new_seg = _run_starts(u)
+        new_seg = run_starts(u)
         starts = np.nonzero(new_seg)[0]
         seg_len = np.diff(np.r_[starts, n])
         seg_start = np.repeat(starts, seg_len)
@@ -280,7 +272,7 @@ def _window_bounds(t: pa.Table, key_col: str, ts_col: str,
     anchors = np.nonzero(t.column(anchor_col).to_numpy()
                          .astype(bool)[order])[0]
     ts = ts[order]
-    starts = _run_starts(key[order])
+    starts = run_starts(key[order])
     run = np.cumsum(starts) - 1
     starts = np.nonzero(starts)[0]
     s = starts[run[anchors]]

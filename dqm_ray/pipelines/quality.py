@@ -4,7 +4,7 @@ stages from config and run them over the same window), fused into one
 per-batch chain (``QualityStage``):
 
     normalize → partition_id                    # hash64(repo) % P
-      → lineage sha256 (+ invariant check)      # P3/P5 analog, fail-fast
+      → lineage sha256 (+ invariant check)      # P3/P5 analog, fail-fast*
       → heuristic_rules_batch                   # P2-P4 analogs, stateless
       → ScorerStage                             # T1/T2 analogs
       → finalize (reasons → keep)               # Pipeline-runner analog
@@ -20,6 +20,10 @@ input shard reads the shard, runs the chain and writes
 and returns only that shard's stats row. The call is eager: it waits
 for every task and returns the stats as a ``pa.Table``. The data file is
 the completion marker: a rerun skips every shard whose data file exists.
+(*) The first failed shard task cancels the others and the call
+raises; the cancel is cooperative, so a sibling inside one long native
+call (a parquet write, an Arrow kernel) delays the raise until that
+call returns.
 ``build_quality_pipeline`` puts the same chain on any ``Dataset`` for
 composition.
 """

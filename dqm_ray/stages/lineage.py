@@ -10,7 +10,10 @@ Reference roles:
 A sha256 mismatch versus the per-row invariant column writes alert rows
 to ``alert_dir`` (so the alert survives the crash) and then RAISES, which
 Ray propagates and the job fails fast — mirroring check_empty's
-short-circuit. sha256 itself has no Arrow kernel; the loop is a
+short-circuit. In ``run_quality_filewise`` the failure cancels the
+call's other shard tasks, but cooperatively: a sibling inside one long
+native call (a parquet write, an Arrow kernel) delays the raise until
+that call returns (``state/tasks.py::wait_all``). sha256 itself has no Arrow kernel; the loop is a
 C-accelerated hashlib call per row (~1 µs/row) over encoded bytes.
 """
 

@@ -18,7 +18,7 @@ power of two that keeps ``bytes / K`` at or under
 ``SMALL_REDUCE_BYTES`` (raised towards the cluster's CPU count while
 every part keeps ``MIN_PART_BYTES``); one split task per block cuts it
 into K parts by its hashed key (at K = 1 nothing is cut), and part i
-runs one function over every side's part i. Its two callers:
+runs one function over every side's part i. Its three callers:
 
 - :func:`reduce_partials` combines the K part results into one value —
   the distinct result rows as numpy arrays, sorted by all columns —
@@ -27,7 +27,15 @@ runs one function over every side's part i. Its two callers:
   caller's (winner ids, frequent lines), not K's;
 - :func:`keyed_parts` (``Dataset`` sides in, ``Dataset`` out) returns
   the K part outputs as they are: the windows, the co-location joins,
-  ``canonical_docs`` and ``corpus_diff``.
+  ``canonical_docs`` and ``corpus_diff``;
+- :func:`grouped_aggregate` (``Dataset`` in and out), the one
+  Sum/Count/Min/Max ``GROUP BY`` (the reference's fill/merge
+  accumulator split, src/algs/STD.cpp:21-27) on :func:`keyed_parts`,
+  an Arrow ``group_by`` partial per block: the relational and
+  stream queries' aggregates, the term, n-gram and histogram counts
+  (``text``, ``lm``, ``quantiles``, ``sketch``), ``ccnet``'s and
+  ``scan``'s bin counts, the sampling strata and ``skew``'s per-key
+  moments.
 """
 
 from __future__ import annotations
@@ -291,12 +299,89 @@ def keyed_parts(sides: list, fn: Callable, *, key: str, what: str):
 
     outs, metas = [], []
     for ds, prep in sides:
-        blocks, empty = dataset_blocks(ds)
+        # materialized, a lazy input runs once: its schema comes from
+        # the blocks' metadata, not from a second run of its first block
+        blocks, empty = dataset_blocks(ds.materialize())
         out, meta = map_blocks(prep, blocks, empty=empty)
         outs.append(out)
         metas.extend(meta)
     k, _ = _k_of(wait_all(metas), what)
     return rd.from_arrow_refs(_part_tasks(fn, outs, k, key))
+
+
+def grouped_aggregate(ds, prep: Callable[[pa.Table], pa.Table],
+                      keys: list, aggs: dict, *, what: str,
+                      finish: Callable[[pa.Table], pa.Table] | None = None):
+    """SQL ``SELECT keys, aggs ... GROUP BY keys`` over ``ds`` on
+    :func:`keyed_parts`: ``aggs`` maps each output column to ``"count"``
+    (its group's rows) or to ``"sum"``, ``"min"`` or ``"max"`` of the
+    column of that name in ``prep(block)``, which projects one block of
+    ``ds`` into the rows to group. Each block's partial is an Arrow
+    ``group_by`` of its prepped rows; the parts, cut on ``keys[0]``,
+    merge the partials (count and sum add, min and max keep theirs) and
+    then run ``finish(table)``, if given, once over every group the part
+    holds, so a ``finish`` that groups by ``keys[0]`` sees whole groups.
+    A part takes every group of its ``keys[0]`` values, so ``keys[0]``
+    must not be a low-cardinality column (a language) when the later
+    keys are unbounded (a hash): put the unbounded key first, as K is
+    set from the partial bytes as if they spread evenly. Null keys form
+    one group each, as in SQL. Returns the Dataset of the part outputs,
+    the keys first; an emptied input gives 0 rows of that schema."""
+    names = list(aggs)
+    block_aggs = [([], "count_all") if op == "count" else (name, op)
+                  for name, op in aggs.items()]
+    part_aggs = [(name, "sum" if op == "count" else op)
+                 for name, op in aggs.items()]
+
+    def partial(block: pa.Table) -> pa.Table:
+        return _group_by(prep(block), keys, block_aggs, names)
+
+    def part(partials: pa.Table) -> pa.Table:
+        out = _group_by(partials, keys, part_aggs, names)
+        return finish(out) if finish else out
+
+    return keyed_parts([(ds, partial)], part, key=keys[0], what=what)
+
+
+def _group_by(table: pa.Table, keys: list, aggs: list,
+              names: list) -> pa.Table:
+    # pyarrow 16's group_by over several keys, one of them a string, can
+    # split a group that has a null key into several; such a key column
+    # is grouped by its dictionary indices instead (null an entry of its
+    # own, so the indices hold none) and decoded after
+    import pyarrow.compute as pc
+
+    dicts = {}
+    if len(keys) > 1:
+        for k in keys:
+            if table.column(k).null_count:
+                enc = pc.dictionary_encode(table.column(k).combine_chunks(),
+                                           null_encoding="encode")
+                dicts[k] = enc.dictionary
+                table = table.set_column(table.schema.get_field_index(k),
+                                         k, enc.indices)
+    out = table.group_by(keys, use_threads=False).aggregate(aggs)
+    labels = ["count_all" if not c else f"{c}_{op}" for c, op in aggs]
+    return pa.table([dicts[k].take(out.column(k)) if k in dicts
+                     else out.column(k) for k in keys]
+                    + [out.column(lb) for lb in labels],
+                    names=[*keys, *names])
+
+
+def run_starts(*cols: np.ndarray) -> np.ndarray:
+    """True where a row of the sorted ``cols`` starts a new run of equal
+    values: one vectorized pass over every group a part holds."""
+    new = np.zeros(len(cols[0]), bool)
+    new[:1] = True
+    for c in cols:
+        new[1:] |= c[1:] != c[:-1]
+    return new
+
+
+def collect(ds) -> pa.Table:
+    """The rows of a keyed op's output ``ds`` (materialized) as one
+    Arrow table on the driver, read from its block refs."""
+    return _concat(ray.get(ds.to_arrow_refs()))
 
 
 def dataset_blocks(ds, fallback: pa.Schema = pa.schema([])

@@ -179,13 +179,12 @@ def _paragraphs_twin(df: pd.DataFrame, sep: str = "\n\n") -> pd.DataFrame:
                         columns=["doc_id", "text", "n_kept", "n_dropped"])
 
 
-def _spans_twin(df: pd.DataFrame, k: int,
-                decode: bool = True) -> pd.DataFrame:
+def _spans_twin(df: pd.DataFrame, k: int) -> pd.DataFrame:
     """Naive twin of dedup_spans over byte strings: winner per k-gram =
     the min (doc_id, offset) among stride-k anchors of docs >= k bytes;
     every gram of such a doc whose winner is earlier than itself is
-    cut. A null text stays null with 0 cut. ``decode=False`` keeps the
-    texts as bytes (a cut may split a multi-byte character)."""
+    cut, and a character goes if any of its bytes is cut. A null text
+    stays null with 0 cut; ``n_cut`` counts the bytes removed."""
     docs = {d: None if t is None else t.encode()
             for d, t in zip(df["doc_id"], df["text"])}
     winner = {}
@@ -202,8 +201,10 @@ def _spans_twin(df: pd.DataFrame, k: int,
         for p in range(len(b) - k + 1) if len(b) >= k else ():
             if winner.get(b[p:p + k], (d, p)) < (d, p):
                 cover[p:p + k] = True
-        kept = bytes(np.frombuffer(b, np.uint8)[~cover])
-        texts.append(kept.decode() if decode else kept)
+        raw = np.frombuffer(b, np.uint8)
+        char = np.cumsum((raw & 0xC0) != 0x80)
+        cover = np.isin(char, char[cover])
+        texts.append(bytes(raw[~cover]).decode())
         cuts.append(int(cover.sum()))
     return df.assign(text=texts, n_cut=np.array(cuts, np.int64))
 

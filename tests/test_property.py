@@ -174,21 +174,26 @@ def test_bin_of_monotone_across_full_int64_domain(keys):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.text(alphabet=st.characters(min_codepoint=32,
-                                               max_codepoint=126),
-                        max_size=40), min_size=1, max_size=8),
+@given(st.lists(st.text(alphabet=st.characters(
+           min_codepoint=32, max_codepoint=0x20AC,
+           blacklist_categories=("Cs",)), max_size=40),
+           min_size=1, max_size=8),
        st.integers(min_value=2, max_value=9),
        st.data())
 def test_apply_cuts_equals_naive_string_surgery(texts, k, data):
     """_apply_cuts (diff+cumsum over the raw buffer) == per-string
-    python span deletion, for arbitrary ASCII rows and arbitrary
-    in-range [loc, loc+k) cut sets (overlaps merge)."""
+    python span deletion, for arbitrary rows of 1- to 3-byte characters
+    (and "aé" * 10 cut only at byte 0, which splits an "é") and
+    arbitrary in-range [loc, loc+k) byte cut sets (overlaps merge): a
+    character goes if any of its bytes is cut, so the output is valid
+    UTF-8, and the removed count is in bytes."""
     import pyarrow as pa
 
     from dqm_ray.functions.spans import _apply_cuts
 
-    rows, locs = [], []
-    for i, t in enumerate(texts):
+    texts = ["aé" * 10, *texts]
+    rows, locs = [0], [0]
+    for i, t in enumerate(texts[1:], 1):
         n_valid = max(len(t.encode()) - k + 1, 0)
         if n_valid == 0:
             continue
@@ -199,15 +204,20 @@ def test_apply_cuts_equals_naive_string_surgery(texts, k, data):
     arr = pa.array(texts, pa.large_string())
     cleaned, removed = _apply_cuts(
         arr, np.array(rows, np.int64), np.array(locs, np.int64), k)
+    cleaned.validate(full=True)
     for i, t in enumerate(texts):
-        b = t.encode()
+        b = np.frombuffer(t.encode(), np.uint8)
         cover = np.zeros(len(b), bool)
         for r, p in zip(rows, locs):
             if r == i:
                 cover[p:p + k] = True
-        assert cleaned[i].as_py() == bytes(
-            np.frombuffer(b, np.uint8)[~cover]).decode()
+        char = np.cumsum((b & 0xC0) != 0x80)
+        cover = np.isin(char, char[cover])
+        assert cleaned[i].as_py() == bytes(b[~cover]).decode()
         assert removed[i] == int(cover.sum())
+    if k == 2:  # the "a" and the "é" whose lead byte is cut: 3 bytes
+        assert (cleaned[0].as_py(), removed[0]) == ("aé" * 9, 3)
+
 
 
 @settings(max_examples=40, deadline=None)
@@ -294,8 +304,7 @@ def test_exact_then_boilerplate_on_blocks_match_twins(ray_session, data):
 def test_paragraphs_and_spans_on_blocks_match_twins(ray_session, data):
     """dedup_paragraphs and dedup_spans over an input cut into blocks
     with 0-row blocks between them give the naive twins' output: null,
-    empty, non-ASCII and duplicate-heavy docs. Span cuts are byte
-    spans, so their texts compare as bytes."""
+    empty, non-ASCII and duplicate-heavy docs."""
     import pandas as pd
     import ray
     import ray.data as rd
@@ -319,18 +328,15 @@ def test_paragraphs_and_spans_on_blocks_match_twins(ray_session, data):
 
     def rows(out) -> pd.DataFrame:
         got = pa.concat_tables(ray.get(out.to_arrow_refs()))
-        got = got.set_column(got.schema.get_field_index("text"), "text",
-                             got["text"].cast(pa.large_binary()))
         return got.to_pandas().sort_values("doc_id", ignore_index=True)
 
     para = dedup_paragraphs(rd.from_arrow(blocks), sep="\n")
     want = _paragraphs_twin(df, sep="\n")
-    want["text"] = [None if x is None else x.encode() for x in want["text"]]
     pd.testing.assert_frame_equal(rows(para), want.sort_values(
         "doc_id", ignore_index=True))
 
     k = data.draw(st.integers(3, 12))
     spans = dedup_spans(rd.from_arrow(blocks), k=k)
-    want = _spans_twin(df, k, decode=False)
+    want = _spans_twin(df, k)
     pd.testing.assert_frame_equal(rows(spans), want.sort_values(
         "doc_id", ignore_index=True))

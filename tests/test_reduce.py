@@ -1,7 +1,7 @@
-"""The keyed reduce of the dedup family (dqm_ray/state/reduce.py): the
-ops on it give their naive twin's output at K = 1 and at K > 1 with no
-driver-side collect, and a reduce task that dies is retried or raises
-at the call site."""
+"""The keyed reduce (dqm_ray/state/reduce.py): the ops on it (the dedup
+family, the grouped aggregate) give their naive twin's output at K = 1
+and at K > 1 with no driver-side collect, and a reduce task that dies
+is retried or raises at the call site."""
 
 import os
 import time
@@ -501,3 +501,111 @@ def test_k_rule_bytes_then_cpus():
     assert k(SMALL_REDUCE_BYTES, 1) == 1
     assert k(SMALL_REDUCE_BYTES + 1, 1) == 2
     assert k(5 * SMALL_REDUCE_BYTES, 2) == 8
+
+
+def _grouped_input(n: int = 4000, seed: int = 9) -> pa.Table:
+    """(a, b, v, w): 70% of rows share a = "hot"; a and b hold nulls."""
+    rng = np.random.default_rng(seed)
+    a = np.where(rng.random(n) < 0.7, "hot",
+                 rng.choice(["x", "y", "z", "null"], n))
+    return pa.table({
+        "a": pa.array([None if x == "null" else x for x in a], pa.string()),
+        "b": pa.array(rng.integers(0, 5, n), pa.int64(),
+                      mask=rng.random(n) < 0.05),
+        "v": pa.array(rng.integers(-50, 1000, n), pa.int64()),
+        "w": pa.array(rng.normal(size=n), pa.float64()),
+    })
+
+
+def _grouped_ops(a_rows: dict):
+    """(prep, finish) for the grouped-aggregate tests; ``finish`` adds
+    ``a_rows``, the rows of each ``a`` group it holds, and fails unless
+    that is every row ``a_rows`` gives. Built in a function so Ray
+    pickles them by value."""
+    def prep(block: pa.Table) -> pa.Table:
+        return pa.table({"a": block["a"], "b": block["b"], "s": block["v"],
+                         "lo": block["w"], "hi": block["w"]})
+
+    def finish(t: pa.Table) -> pa.Table:
+        per_a = t.group_by("a", use_threads=False).aggregate([("n", "sum")])
+        seen = dict(zip(per_a["a"].to_pylist(), per_a["n_sum"].to_pylist()))
+        assert all(seen[k] == a_rows[k] for k in seen), (seen, a_rows)
+        return t.append_column("a_rows", pa.array(
+            [seen[k] for k in t["a"].to_pylist()], pa.int64()))
+
+    return prep, finish
+
+
+AGGS = {"n": "count", "s": "sum", "lo": "min", "hi": "max"}
+
+
+def _grouped_twin(df: pd.DataFrame) -> pd.DataFrame:
+    df = df.assign(a=df["a"].fillna(NULL))
+    out = df.groupby(["a", "b"], dropna=False).agg(
+        n=("v", "size"), s=("v", "sum"), lo=("w", "min"), hi=("w", "max")) \
+        .reset_index()
+    out["a_rows"] = out["a"].map(df["a"].value_counts())
+    out["b"] = out["b"].astype("Int64")
+    return out
+
+
+NULL = "<null>"
+
+
+def _canon_grouped(t: pa.Table) -> pd.DataFrame:
+    df = t.to_pandas()
+    df["a"] = df["a"].fillna(NULL)
+    df["b"] = df["b"].astype("Int64")
+    return df.sort_values(["a", "b"], na_position="first",
+                          ignore_index=True)
+
+
+def test_grouped_aggregate_matches_pandas_at_k1_and_k4(ray_session,
+                                                       at_k1_and_k4):
+    """count, sum, min and max over (a, b) — a hot a, null a and b, 0-row
+    blocks between the data — equal pandas' GROUP BY (nulls one group
+    each) at K = 1 and K = 4, and ``finish`` sees every row of each a."""
+    import ray.data as rd
+
+    from dqm_ray.state.reduce import collect, grouped_aggregate
+
+    t = _grouped_input()
+    df = t.to_pandas()
+    prep, finish = _grouped_ops({
+        None if a == NULL else a: n
+        for a, n in df["a"].fillna(NULL).value_counts().items()})
+    blocks = [t.slice(0, 0), t.slice(0, 1500), t.slice(0, 0),
+              t.slice(1500, 2000), t.slice(3500), t.slice(0, 0)]
+
+    def run():
+        return collect(grouped_aggregate(
+            rd.from_arrow(blocks), prep, ["a", "b"], AGGS,
+            what="grouped_test", finish=finish))
+
+    want = _grouped_twin(df).sort_values(["a", "b"], na_position="first",
+                                         ignore_index=True)
+    for got in at_k1_and_k4(run, "grouped_test"):
+        assert got.schema.types == [pa.string(), pa.int64(), pa.int64(),
+                                    pa.int64(), pa.float64(), pa.float64(),
+                                    pa.int64()]
+        pd.testing.assert_frame_equal(_canon_grouped(got), want[list(
+            got.column_names)], check_dtype=False)
+
+
+def test_grouped_aggregate_empty_input_keeps_schema(ray_session):
+    """An emptied input (every block 0 rows) gives 0 rows with the
+    schema a non-empty input gives."""
+    import ray.data as rd
+
+    from dqm_ray.state.reduce import collect, grouped_aggregate
+
+    t = _grouped_input(200)
+    prep, _ = _grouped_ops({})
+    full = collect(grouped_aggregate(rd.from_arrow(t), prep, ["a", "b"],
+                                     AGGS, what="grouped_full"))
+    emptied = rd.from_arrow([t.slice(0, 100), t.slice(100)]).map_batches(
+        lambda b: b.slice(0, 0), batch_format="pyarrow")
+    none = collect(grouped_aggregate(emptied, prep, ["a", "b"], AGGS,
+                                     what="grouped_empty"))
+    assert none.num_rows == 0 and full.num_rows > 0
+    assert none.schema == full.schema

@@ -158,7 +158,7 @@ def test_salted_groupby_matches_plain(ray_session):
                     rng.choice(["a", "b", "c"], 5000))
     df = pd.DataFrame({"k": keys, "v": rng.integers(0, 100, 5000)})
     out = salted_count_sum(rd.from_pandas(df).repartition(8),
-                           key="k", sum_cols=("v",), salt=8).to_pandas()
+                           key="k", sum_cols=("v",)).to_pandas()
     want = df.groupby("k").agg(n=("v", "size"), sum_v=("v", "sum"))
     out = out.set_index("k").sort_index()
     assert (out["n"] == want["n"]).all()
