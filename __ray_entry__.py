@@ -1689,21 +1689,12 @@ def _q_simhash_pairs(sf_dir: str):
 
 
 def _q_embedding_near_dup(sf_dir: str):
-    import ray.data as rd
-
     from dqm_ray.functions.dedup import embedding_near_dup
 
-    import pandas as pd
-
-    ds = _read_sf(sf_dir, "embeddings",
-                         columns=["vec_id", "embedding"])
+    ds = _read_sf(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     # random test embeddings have no 0.95-cosine near-dups; a loose
     # threshold + few planes exercises the bucket→verify path end-to-end
-    out = embedding_near_dup(ds, threshold=0.25, planes=4).to_pandas()
-    if "cosine" not in out.columns:  # no candidate pairs at all
-        out = pd.DataFrame({"id_a": pd.Series(dtype="int64"),
-                            "id_b": pd.Series(dtype="int64"),
-                            "cosine": pd.Series(dtype="float64")})
+    out = embedding_near_dup(ds, threshold=0.25, planes=4)
     out["cosine"] = np.round(out["cosine"].to_numpy(), 6)
     return out
 

@@ -4,12 +4,11 @@ embedding-cosine near-dup.
 Scale shapes (SURVEY §4.2): the heavy step of every variant is ONE
 hash-keyed reduce over compact signature rows (ids + 64-bit hashes),
 never over content. Signatures are computed vectorized inside
-``map_batches``; exact, MinHash and SimHash then reduce on plain Ray
-tasks over the block refs (:mod:`dqm_ray.state.reduce`); only candidate
-band rows carry a MinHash signature; connected components run as
-iterative min-label propagation expressed with groupbys (driver
-union-find only when the candidate-pair set is provably small, which it
-is at any dup rate worth deduping).
+``map_batches``; exact, MinHash, SimHash and embedding near-dup then
+reduce on plain Ray tasks over the block refs
+(:mod:`dqm_ray.state.reduce`); only candidate band rows carry a MinHash
+signature; MinHash's connected components run in one task over its
+verified pairs, which never reach the driver.
 
 Exact dedup mirrors the reference's frame dedup — first-wins on a key
 tuple via a set (include/dqm/ChannelMap.hpp:76-89) — as a per-batch
@@ -394,140 +393,135 @@ def _multi_member(partials: pa.Table, *, key: str) -> pa.Table:
     return tot.filter(pc.greater(tot["n_sum"], 1)).select([key])
 
 
-def _bucket_pairs(ids: np.ndarray, sigs: np.ndarray):
-    """Star + representative pairs for one bucket (ids ascending)."""
-    nothing = (np.zeros(0, np.int64), np.zeros(0, np.int64),
-               np.zeros(0, np.float64))
-    if len(ids) < 2:
-        return nothing
-    uniq, first, inv = np.unique(sigs, axis=0, return_index=True,
-                                 return_inverse=True)
-    rep = ids[first]  # ids ascending → first occurrence = min id of group
-    star_mask = np.arange(len(ids)) != first[inv]
-    sa, sb = rep[inv][star_mask], ids[star_mask]
-    se = np.ones(len(sa), np.float64)
-    if len(uniq) >= 2:
-        ia, ib = np.triu_indices(len(uniq), k=1)
-        est = (uniq[ia] == uniq[ib]).mean(axis=1)
-        ra, rb = rep[ia], rep[ib]
-        return (np.concatenate([sa, np.minimum(ra, rb)]),
-                np.concatenate([sb, np.maximum(ra, rb)]),
-                np.concatenate([se, est]))
-    return sa, sb, se
+# Pairs one part of a near-dup reduce may generate before its verify
+# step: a bucket of u members (distinct signatures for MinHash) gives
+# u(u-1)/2 of them. MinHash's pass peaks at ~52 B per pair and verifies
+# ~0.8M pairs/s on one core (one bucket of 2,000-6,000 distinct 128-perm
+# signatures), so the bound is ~0.85 GiB and ~21 s of one task: about
+# the memory of a reduce task at SMALL_REDUCE_BYTES of partials.
+MAX_BUCKET_PAIRS = 1 << 24
 
 
-def _pairs_from_sorted(ids_all: np.ndarray, bk: np.ndarray,
-                       sig_all: np.ndarray) -> pa.Table:
-    """Bucket loop over (bucket_key, id)-sorted rows: contiguous numpy
-    slices per bucket, one (id_a, id_b, est_jaccard) table out."""
-    out = [(np.zeros(0, np.int64), np.zeros(0, np.int64),
-            np.zeros(0, np.float64))]
-    if len(ids_all):
-        bounds = np.nonzero(np.concatenate(
-            ([True], bk[1:] != bk[:-1], [True])))[0]
-        for s, e in zip(bounds[:-1], bounds[1:]):
-            if e - s >= 2:
-                out.append(_bucket_pairs(ids_all[s:e], sig_all[s:e]))
-    a, b, est = (np.concatenate(c) for c in zip(*out))
-    return pa.table({"id_a": pa.array(a, pa.int64()),
-                     "id_b": pa.array(b, pa.int64()),
-                     "est_jaccard": pa.array(est, pa.float64())})
+def _run_pairs(keys: np.ndarray, what: str) -> tuple[np.ndarray,
+                                                     np.ndarray]:
+    """Index pairs ``(i, j)``, ``i < j``, of every two rows in the same
+    run of equal sorted ``keys`` (a bucket): generated by repeat and
+    cumsum, with no loop over the buckets. Raises ``ValueError`` past
+    ``MAX_BUCKET_PAIRS`` pairs, before any is made."""
+    from dqm_ray.state.reduce import run_starts
+
+    sizes = np.diff(np.flatnonzero(np.r_[run_starts(keys), True]))
+    total = int((sizes * (sizes - 1) // 2).sum())
+    if total > MAX_BUCKET_PAIRS:
+        raise ValueError(
+            f"{what}: a bucket of {int(sizes.max())} members gives "
+            f"{total} pairs in one part, past the bound of "
+            f"MAX_BUCKET_PAIRS = {MAX_BUCKET_PAIRS}")
+    pos = np.arange(len(keys))
+    after = np.repeat(np.cumsum(sizes), sizes) - pos - 1
+    return np.repeat(pos, after), _multirange(pos + 1, after)
+
+
+def _lsh_pairs(ids: np.ndarray, bk: np.ndarray, sig: np.ndarray) -> pa.Table:
+    """Every star and representative pair of candidate band rows (id,
+    bucket key, signature row of ``sig``), in any order; a doc counts
+    once per bucket. In each bucket, docs with equal signatures form a
+    group whose representative is its min id: each other member pairs
+    with it at ``est_jaccard`` 1.0 (star), and every two groups pair
+    their representatives, min id first, at the share of equal
+    permutations (representative). One vectorized pass: the groups are
+    one ``np.unique`` over the (bucket key, signature) rows viewed as
+    fixed-width records, an exact equality."""
+    from dqm_ray.state.reduce import run_starts
+
+    order = np.lexsort((ids, bk))
+    first = order[run_starts(bk[order], ids[order])]
+    ids, bk, sig = ids[first], bk[first], sig[first]
+    n, perms = sig.shape
+    rec = np.empty((n, perms + 1), np.uint64)
+    rec[:, 0] = bk.view(np.uint64)
+    rec[:, 1:] = sig
+    # rows are (bucket, id)-sorted, so a group's first row has its min id
+    _, rep, group = np.unique(
+        rec.view(np.dtype((np.void, rec.itemsize * (perms + 1)))).ravel(),
+        return_index=True, return_inverse=True)
+    rep_of = rep[group]
+    star = rep_of != np.arange(n)
+    rep = np.sort(rep)  # the groups in (bucket, representative) order
+    left, right = _run_pairs(bk[rep], "minhash_lsh_dedup")
+    left, right = rep[left], rep[right]
+    est = np.empty(len(left))
+    for s in range(0, len(left), 1 << 14):
+        sl = slice(s, s + (1 << 14))
+        est[sl] = np.count_nonzero(sig[left[sl]] == sig[right[sl]],
+                                   axis=1) / perms
+    return pa.table({
+        "id_a": pa.array(np.r_[ids[rep_of[star]], ids[left]], pa.int64()),
+        "id_b": pa.array(np.r_[ids[star], ids[right]], pa.int64()),
+        "est_jaccard": pa.array(np.r_[np.ones(int(star.sum())), est],
+                                pa.float64())})
 
 
 def _verified_pairs(rows: pa.Table, *, id_col: str,
                     threshold: float) -> pa.Table:
     """Pairs with signature Jaccard >= ``threshold`` among candidate band
     rows (id, bucket_key, sig) that hold every row of each bucket they
-    see; a doc counts once per bucket."""
+    see (:func:`_lsh_pairs`)."""
     if not rows.num_rows:
-        return _pairs_from_sorted(np.zeros(0, np.int64), None, None)
-    ids = rows.column(id_col).to_numpy()
-    bk = rows.column("bucket_key").to_numpy()
-    order = np.lexsort((ids, bk))
-    ids, bk = ids[order], bk[order]
-    first = np.r_[True, (ids[1:] != ids[:-1]) | (bk[1:] != bk[:-1])]
+        return _lsh_pairs(np.zeros(0, np.int64), np.zeros(0, np.int64),
+                          np.zeros((0, 0), np.uint64))
     sig = rows.column("sig").combine_chunks()
-    mat = sig.flatten().to_numpy().reshape(len(sig), sig.type.list_size)
-    pairs = _pairs_from_sorted(ids[first], bk[first], mat[order[first]])
+    pairs = _lsh_pairs(
+        rows.column(id_col).to_numpy(), rows.column("bucket_key").to_numpy(),
+        sig.flatten().to_numpy().reshape(len(sig), sig.type.list_size))
     return pairs.filter(pairs["est_jaccard"].to_numpy() >= threshold)
 
 
-def connected_components(pairs, *, id_a: str = "id_a", id_b: str = "id_b",
-                         max_iter: int = 50):
-    """Distributed connected components by iterative min-label
-    propagation: every round each node adopts the minimum label among
-    itself and its neighbors, expressed as a partitioned hash join
-    (adjacency x labels on hash parts — no per-node groups) followed by
-    ``groupby(node).min(label)``. Converges in O(graph diameter) rounds;
-    each round shuffles only compact (node, label) int64 rows, and the
-    monotone non-increasing label sum detects convergence with one cheap
-    aggregate per round.
+def min_id_components(id_a: np.ndarray, id_b: np.ndarray):
+    """Connected components of the undirected edges ``(id_a[i],
+    id_b[i])``: returns ``(nodes, group, rounds)``, every node once in
+    ascending order, the min id of its component, and the rounds run.
 
-    Returns a Dataset (node, label) over every node that appears in
-    ``pairs``; label = the component's minimum node id (the same
-    representative the driver union-find picks).
-    """
-    from ray.data.aggregate import Sum
+    Root hooking over dense node indices, so any int64 id works: each
+    round hooks the larger root of every edge that joins two roots onto
+    the smaller one (``np.minimum.at``), then jumps every pointer to its
+    root; it stops when no edge joins two roots. Hooking roots rather
+    than labels moves a whole tree per hook, so a long path needs no
+    round per link: a shuffled chain of 2M nodes took 14 rounds (~2 s
+    on one core)."""
+    nodes, dense = np.unique(np.r_[id_a, id_b], return_inverse=True)
+    u, v = dense[:len(id_a)], dense[len(id_a):]
+    root = np.arange(len(nodes))
+    rounds = 0
+    while True:
+        ru, rv = root[u], root[v]
+        cross = ru != rv
+        if not cross.any():
+            return nodes, nodes[root], rounds
+        u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+        rounds += 1
 
-    from dqm_ray.functions.joins import partitioned_hash_join
 
-    def to_adj(batch: pa.Table) -> pa.Table:
-        a = batch.column(id_a).to_numpy(zero_copy_only=False).astype(np.int64)
-        b = batch.column(id_b).to_numpy(zero_copy_only=False).astype(np.int64)
-        # both directions: messages flow to each endpoint
-        return pa.table({"nbr": pa.array(np.concatenate([a, b])),
-                         "node": pa.array(np.concatenate([b, a]))})
-
-    adj = pairs.map_batches(to_adj, batch_format="pyarrow").materialize()
-
-    def fix_init(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return pa.table({
-            "node": batch.column("node"),
-            "label": pc.min_element_wise(batch.column("node"),
-                                         batch.column("min(nbr)")),
-        })
-
-    # seed = min(self, neighbors): the first propagation round, fused
-    labels = adj.groupby("node").min("nbr") \
-        .map_batches(fix_init, batch_format="pyarrow").materialize()
-    prev_sum = None
-    for _ in range(max_iter):
-        lab_by_nbr = labels.map_batches(
-            lambda t: pa.table({"nbr": t.column("node"),
-                                "label": t.column("label")}),
-            batch_format="pyarrow")
-        msgs = partitioned_hash_join(adj, lab_by_nbr, on="nbr")
-        contrib = msgs.map_batches(
-            lambda t: t.select(["node", "label"]), batch_format="pyarrow")
-        labels = labels.union(contrib).groupby("node").min("label")
-        labels = labels.map_batches(
-            lambda t: pa.table({"node": t.column("node"),
-                                "label": t.column("min(label)")}),
-            batch_format="pyarrow").materialize()
-        # overflow-proof exact sum: full-range int64 labels can overflow
-        # a single int64 accumulator, so sum the high and low 32-bit
-        # halves separately — the pair encodes the exact big-int sum
-        def split32(t: pa.Table) -> pa.Table:
-            lab = t.column("label").to_numpy(zero_copy_only=False)
-            return pa.table({"hi": pa.array(lab >> 32),
-                             "lo": pa.array(lab & 0xFFFFFFFF)})
-        agg = labels.map_batches(split32, batch_format="pyarrow") \
-            .aggregate(Sum("hi", alias_name="hi"),
-                       Sum("lo", alias_name="lo"))
-        s = (agg["hi"], agg["lo"])
-        if s == prev_sum:  # labels non-increasing ⇒ equal sum = converged
-            break
-        prev_sum = s
-    return labels
+def _pairs_and_groups(value: tuple, id_col: str):
+    """The verified pairs (the reduced columns ``value``) as one table,
+    and their dup_table: one row per doc in a pair, with the min id of
+    its component."""
+    pairs = pa.table(dict(zip(["id_a", "id_b", "est_jaccard"], value)))
+    nodes, group, _ = min_id_components(value[0], value[1])
+    return pairs, pa.table({id_col: pa.array(nodes, pa.int64()),
+                            "dup_group": pa.array(group, pa.int64())})
 
 
 def minhash_lsh_dedup(ds, *, id_col: str = "doc_id", text_col: str = "text",
                       num_perm: int = 128, bands: int = 16, shingle_k: int = 5,
                       threshold: float = 0.8, concurrency=None,
-                      batch_size: int = 512,
-                      cc_pair_threshold: int = 2_000_000):
+                      batch_size: int = 512):
     """Near-dup detection: shingle → minhash → band → bucket reduce →
     candidate pairs → signature-Jaccard verify → connected components.
 
@@ -547,23 +541,23 @@ def minhash_lsh_dedup(ds, *, id_col: str = "doc_id", text_col: str = "text",
        dup rates a small share of all band rows — with their doc's
        signature;
     4. one reduce keyed on the bucket key turns those rows into the
-       distinct verified (id_a, id_b, est_jaccard) pairs.
-
-    Components run driver-side (union-find) only when the verified pair
-    count is ≤ ``cc_pair_threshold``; above it they run through the
-    distributed min-label propagation (:func:`connected_components`), so
-    the driver never holds an unbounded pair set.
+       distinct verified (id_a, id_b, est_jaccard) pairs, one
+       vectorized pass per part (:func:`_lsh_pairs`); a part whose
+       buckets would give more than ``MAX_BUCKET_PAIRS`` representative
+       pairs raises ``ValueError``;
+    5. one task over the pairs, which the reduce left in the object
+       store, labels their components (:func:`min_id_components`).
+       Only its dup_table reaches the driver.
 
     Returns (dup_table, pairs): dup_table maps id → group representative
     (min id of its component); only ids in some near-dup component
     appear. pairs is a Dataset of the distinct verified pairs (int64
-    id_a < id_b, float64 est_jaccard) on both paths.
+    id_a < id_b, float64 est_jaccard).
     """
     import ray
     import ray.data as rd
 
-    from dqm_ray.state.reduce import (map_blocks, map_reduce,
-                                      reduce_partials, value_table)
+    from dqm_ray.state.reduce import map_blocks, map_reduce, reduce_partials
     from dqm_ray.state.tasks import wait_all
 
     # elastic task pool with a per-worker-process stage cache (the same
@@ -583,48 +577,14 @@ def minhash_lsh_dedup(ds, *, id_col: str = "doc_id", text_col: str = "text",
         key="bucket_key", what="minhash_bands")
     cands, meta = map_blocks(
         functools.partial(_candidate_bands, id_col=id_col), per_doc, multi)
-    pairs, _ = reduce_partials(
+    value, _ = reduce_partials(
         cands, wait_all(meta),
         functools.partial(_verified_pairs, id_col=id_col,
                           threshold=threshold),
         key="bucket_key", what="minhash_lsh_dedup")
-    pairs, n_pairs = value_table(pairs, ["id_a", "id_b", "est_jaccard"])
-    verified = rd.from_arrow_refs([pairs])
-
-    if n_pairs > cc_pair_threshold:
-        # distributed components; collect only (node, label) — one row
-        # per DUPLICATE doc, far smaller than the pair set
-        labels = connected_components(verified)
-        lab = labels.to_pandas().sort_values("node")
-        dup_table = pa.table({
-            id_col: pa.array(lab["node"].to_numpy(np.int64)),
-            "dup_group": pa.array(lab["label"].to_numpy(np.int64)),
-        })
-        return dup_table, verified
-
-    got = ray.get(pairs)
-    id_a, id_b = got["id_a"].to_pylist(), got["id_b"].to_pylist()
-
-    # union-find on the (small) verified pair set
-    parent: dict = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    for a, b in zip(id_a, id_b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    members = sorted(set(id_a) | set(id_b))
-    rep = {m: find(m) for m in members}
-    dup_table = pa.table({
-        id_col: pa.array(members, pa.int64()),
-        "dup_group": pa.array([rep[m] for m in members], pa.int64()),
-    })
-    return dup_table, verified
+    pairs, dup_table = ray.remote(num_returns=2)(_pairs_and_groups) \
+        .remote(value, id_col)
+    return ray.get(dup_table), rd.from_arrow_refs([pairs])
 
 
 def canonical_docs(ds, dup_table: pa.Table, *, id_col: str = "doc_id",
@@ -885,39 +845,74 @@ def embedding_near_dup(ds, *, id_col: str = "vec_id",
     (LSH) → exact cosine verify within buckets. Vectors are compared only
     inside their sign-bucket (plus nothing else — pairs straddling a
     hyperplane can be missed; raise `planes`/repeat with another seed for
-    higher recall; this is the documented LSH trade-off)."""
+    higher recall; this is the documented LSH trade-off).
 
-    def bucketize(batch: pa.Table, planes_ref=None) -> pa.Table:
-        emb = np.stack(batch.column(emb_col).to_numpy(zero_copy_only=False))
-        rng = np.random.default_rng(seed)
-        h = rng.standard_normal((emb.shape[1], planes))
-        signs = (emb @ h) > 0
-        bucket = np.zeros(len(emb), dtype=np.int64)
-        for b in range(planes):
-            bucket |= signs[:, b].astype(np.int64) << b
-        out = pa.table({
-            id_col: batch.column(id_col),
-            "bucket": pa.array(bucket),
-            emb_col: batch.column(emb_col),
-        })
-        return out
+    One content pass emits (id, bucket, embedding) rows per block and
+    one reduce keyed on the bucket verifies every pair within each
+    bucket (:func:`~dqm_ray.state.reduce.map_reduce`; a part past
+    ``MAX_BUCKET_PAIRS`` pairs raises ``ValueError``). Returns a pandas
+    frame of the distinct pairs: int64 ``id_a`` < ``id_b`` and float64
+    ``cosine`` (0 rows with the same columns when there is no pair)."""
+    import ray
 
-    bucketed = ds.map_batches(bucketize, batch_format="pyarrow")
+    from dqm_ray.state.reduce import map_reduce
 
-    def verify(group: pd.DataFrame) -> pd.DataFrame:
-        if len(group) < 2:
-            return pd.DataFrame({"id_a": pd.Series(dtype="int64"),
-                                 "id_b": pd.Series(dtype="int64"),
-                                 "cosine": pd.Series(dtype="float64")})
-        g = group.sort_values(id_col)
-        ids = g[id_col].to_numpy()
-        emb = np.stack(g[emb_col].to_numpy()).astype(np.float64)
-        norm = np.linalg.norm(emb, axis=1, keepdims=True)
-        emb = emb / np.maximum(norm, 1e-12)
-        sim = emb @ emb.T
-        ia, ib = np.triu_indices(len(ids), k=1)
-        mask = sim[ia, ib] >= threshold
-        return pd.DataFrame({"id_a": ids[ia[mask]], "id_b": ids[ib[mask]],
-                             "cosine": sim[ia[mask], ib[mask]]})
+    value, _ = map_reduce(
+        ds.to_arrow_refs(),
+        functools.partial(_sign_buckets, id_col=id_col, emb_col=emb_col,
+                          planes=planes, seed=seed),
+        functools.partial(_cosine_pairs, id_col=id_col, emb_col=emb_col,
+                          threshold=threshold),
+        key="bucket", what="embedding_near_dup")
+    return pd.DataFrame(dict(zip(["id_a", "id_b", "cosine"],
+                                 ray.get(value))))
 
-    return bucketed.groupby("bucket").map_groups(verify, batch_format="pandas")
+
+def _matrix(col) -> np.ndarray:
+    """The rows of a list column of equal-length vectors as one
+    matrix."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    flat = col.flatten().to_numpy(zero_copy_only=False)
+    return flat.reshape(len(col), -1) if len(col) else flat.reshape(0, 0)
+
+
+def _sign_buckets(batch: pa.Table, *, id_col: str, emb_col: str,
+                  planes: int, seed: int) -> pa.Table:
+    """(id, bucket, embedding) rows: the bucket packs the signs of the
+    embedding's dot with ``planes`` seeded random hyperplanes."""
+    emb = _matrix(batch.column(emb_col))
+    h = np.random.default_rng(seed).standard_normal((emb.shape[1], planes))
+    signs = (emb @ h) > 0
+    return pa.table({
+        id_col: batch.column(id_col),
+        "bucket": pa.array((signs.astype(np.int64)
+                            << np.arange(planes)).sum(axis=1)),
+        emb_col: batch.column(emb_col)})
+
+
+def _cosine_pairs(rows: pa.Table, *, id_col: str, emb_col: str,
+                  threshold: float) -> pa.Table:
+    """Pairs with cosine >= ``threshold`` among (id, bucket, embedding)
+    rows that hold every row of each bucket they see: every two rows of
+    a bucket (:func:`_run_pairs`), their unit vectors' dot in chunks."""
+    if not rows.num_rows:
+        return pa.table({"id_a": pa.array([], pa.int64()),
+                         "id_b": pa.array([], pa.int64()),
+                         "cosine": pa.array([], pa.float64())})
+    ids = rows.column(id_col).to_numpy()
+    bucket = rows.column("bucket").to_numpy()
+    order = np.lexsort((ids, bucket))
+    ids, bucket = ids[order], bucket[order]
+    emb = _matrix(rows.column(emb_col).take(order)).astype(np.float64)
+    unit = emb / np.maximum(np.linalg.norm(emb, axis=1, keepdims=True),
+                            1e-12)
+    left, right = _run_pairs(bucket, "embedding_near_dup")
+    cos = np.empty(len(left))
+    for s in range(0, len(left), 1 << 14):
+        sl = slice(s, s + (1 << 14))
+        cos[sl] = np.einsum("ij,ij->i", unit[left[sl]], unit[right[sl]])
+    keep = cos >= threshold
+    return pa.table({"id_a": pa.array(ids[left[keep]], pa.int64()),
+                     "id_b": pa.array(ids[right[keep]], pa.int64()),
+                     "cosine": pa.array(cos[keep], pa.float64())})

@@ -11,7 +11,7 @@ the way the reference reduces each window inside one worker and ships
 only the result (plugins/DQMProcessor.cpp:541-556); then one task per
 block filters or rewrites it against the reduced value
 (:func:`keyed_reduce_map`, ``Dataset`` in and out), or emits the rows
-of a second reduce (the near-dup pairs).
+of a second reduce (MinHash's candidate band rows).
 
 The part step takes one or more sides of mapped blocks, K the smallest
 power of two that keeps ``bytes / K`` at or under
@@ -24,7 +24,9 @@ runs one function over every side's part i. Its three callers:
   the distinct result rows as numpy arrays, sorted by all columns —
   that stays in the object store (at K = 1 reduce and sort are one
   task). The keep tasks take it as an argument; its size is the
-  caller's (winner ids, frequent lines), not K's;
+  caller's (winner ids, frequent lines), not K's. The near-dup pairs
+  are such a value too: MinHash's (one task over them labels their
+  components), SimHash's and the embedding sign buckets';
 - :func:`keyed_parts` (``Dataset`` sides in, ``Dataset`` out) returns
   the K part outputs as they are: the windows, the co-location joins,
   ``canonical_docs`` and ``corpus_diff``;
@@ -214,20 +216,6 @@ def reduce_partials(partials: list, meta: list,
             *_part_tasks(reduce, [partials], k, key))
     ray.get(done)  # raises a reduce error here; the value stays remote
     return value, rows
-
-
-@ray.remote(num_returns=2)
-def _as_table(value: tuple, names: list):
-    table = pa.table(dict(zip(names, value)))
-    return table, table.num_rows
-
-
-def value_table(value, names: list):
-    """The reduced columns behind ``value`` as one Arrow table in the
-    object store, its columns named ``names``; returns ``(ref, rows)``.
-    Only the row count reaches the driver."""
-    table, rows = _as_table.remote(value, names)
-    return table, ray.get(rows)
 
 
 @ray.remote(num_returns=2)

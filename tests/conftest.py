@@ -153,6 +153,25 @@ def _first_wins_twin(df: pd.DataFrame) -> pd.DataFrame:
     return df[df["doc_id"].isin(winners)]
 
 
+def _union_find_groups(edges) -> pd.DataFrame:
+    """(doc_id, dup_group) for every node of ``edges``, the group being
+    the min id of its connected component."""
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    nodes = sorted(parent)
+    return pd.DataFrame({"doc_id": np.array(nodes, np.int64),
+                         "dup_group": np.array([find(x) for x in nodes],
+                                               np.int64)})
+
+
 def _paragraphs_twin(df: pd.DataFrame, sep: str = "\n\n") -> pd.DataFrame:
     """Naive twin of dedup_paragraphs: a sequential seen-set over
     (doc_id, paragraph index) order; empty paragraphs never
@@ -219,3 +238,43 @@ def boilerplate_twin():
 def paragraphs_twin():
     """``paragraphs_twin(df, sep="\\n\\n")`` -> expected frame."""
     return _paragraphs_twin
+
+
+def _bucket_pairs(ids: np.ndarray, sigs: np.ndarray):
+    """Star + representative pairs for one bucket (ids ascending): the
+    per-bucket loop body that dedup._lsh_pairs vectorizes."""
+    nothing = (np.zeros(0, np.int64), np.zeros(0, np.int64),
+               np.zeros(0, np.float64))
+    if len(ids) < 2:
+        return nothing
+    uniq, first, inv = np.unique(sigs, axis=0, return_index=True,
+                                 return_inverse=True)
+    inv = inv.ravel()
+    rep = ids[first]  # ids ascending → first occurrence = min id of group
+    star_mask = np.arange(len(ids)) != first[inv]
+    sa, sb = rep[inv][star_mask], ids[star_mask]
+    se = np.ones(len(sa), np.float64)
+    if len(uniq) >= 2:
+        ia, ib = np.triu_indices(len(uniq), k=1)
+        est = (uniq[ia] == uniq[ib]).mean(axis=1)
+        ra, rb = rep[ia], rep[ib]
+        return (np.concatenate([sa, np.minimum(ra, rb)]),
+                np.concatenate([sb, np.maximum(ra, rb)]),
+                np.concatenate([se, est]))
+    return sa, sb, se
+
+
+def _lsh_pairs_twin(ids: np.ndarray, bk: np.ndarray,
+                    sig: np.ndarray) -> pd.DataFrame:
+    """Naive twin of dedup._lsh_pairs: per bucket, its docs once each in
+    id order, then one np.unique over the bucket's signatures; the
+    pairs sorted by all columns."""
+    out = [(np.zeros(0, np.int64), np.zeros(0, np.int64),
+            np.zeros(0, np.float64))]
+    for key in np.unique(bk):
+        in_bucket = np.flatnonzero(bk == key)
+        doc_ids, first = np.unique(ids[in_bucket], return_index=True)
+        out.append(_bucket_pairs(doc_ids, sig[in_bucket[first]]))
+    a, b, est = (np.concatenate(c) for c in zip(*out))
+    return pd.DataFrame({"id_a": a, "id_b": b, "est_jaccard": est}) \
+        .sort_values(["id_a", "id_b", "est_jaccard"], ignore_index=True)

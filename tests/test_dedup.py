@@ -114,86 +114,143 @@ def test_embedding_near_dup_planted(ray_session):
         "embedding": pa.array(list(emb.astype(np.float32)),
                               pa.list_(pa.float32(), 16)),
     })
-    out = embedding_near_dup(rd.from_arrow(t), threshold=0.95,
-                             planes=6).to_pandas()
-    pairs = set(map(tuple, out[["id_a", "id_b"]].to_numpy())) if len(out) else set()
+    out = embedding_near_dup(rd.from_arrow(t), threshold=0.95, planes=6)
+    pairs = set(map(tuple, out[["id_a", "id_b"]].to_numpy()))
     assert (0, 30) in pairs and (0, 31) in pairs
 
 
+@pytest.mark.parametrize("vecs", [[], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+def test_embedding_near_dup_without_pairs_keeps_columns(ray_session, vecs):
+    """No pair (an empty input, or two orthogonal vectors) still gives
+    the int64 id_a and id_b and float64 cosine columns."""
+    import ray.data as rd
+
+    t = pa.table({"vec_id": pa.array(range(len(vecs)), pa.int64()),
+                  "embedding": pa.array(vecs, pa.list_(pa.float32()))})
+    out = embedding_near_dup(rd.from_arrow(t), threshold=0.5, planes=2)
+    assert len(out) == 0
+    assert list(out.columns) == ["id_a", "id_b", "cosine"]
+    assert list(out.dtypes) == [np.int64, np.int64, np.float64]
+
+
+def _component_task(pairs: pd.DataFrame):
+    """(pairs, dup_table) of the component task run on Ray over the
+    reduced pair columns ``pairs``."""
+    import ray
+
+    from dqm_ray.functions.dedup import _pairs_and_groups
+
+    value = tuple(pairs[c].to_numpy() for c in ("id_a", "id_b",
+                                                "est_jaccard"))
+    refs = ray.remote(num_returns=2)(_pairs_and_groups).remote(
+        ray.put(value), "doc_id")
+    return ray.get(refs)
+
+
 def test_connected_components_distributed(ray_session):
-    import pandas as pd
-    import ray.data as rd
-
-    from dqm_ray.functions.dedup import connected_components
-
-    # two chains and a triangle: {1-2-3-4}, {10-11}, {20-21-22 triangle}
+    """The component task labels two chains and a triangle (listed in
+    no particular order) with the min id of each component."""
     pairs = pd.DataFrame({
-        "id_a": [1, 2, 3, 10, 20, 21, 20],
-        "id_b": [2, 3, 4, 11, 21, 22, 22],
-    })
-    labels = connected_components(rd.from_pandas(pairs)).to_pandas()
-    got = dict(zip(labels["node"], labels["label"]))
-    assert got == {1: 1, 2: 1, 3: 1, 4: 1, 10: 10, 11: 10,
-                   20: 20, 21: 20, 22: 20}
-
-
-def test_minhash_lsh_distributed_components_match_driver(ray_session):
-    import ray.data as rd
-
-    t = _docs_with_dups()
-    dup_drv, pairs_drv = minhash_lsh_dedup(
-        rd.from_arrow(t), threshold=0.6, concurrency=2, batch_size=16)
-    dup_dist, pairs_dist = minhash_lsh_dedup(
-        rd.from_arrow(t), threshold=0.6, concurrency=2, batch_size=16,
-        cc_pair_threshold=0)  # force the distributed path
-    a = sorted(zip(dup_drv["doc_id"].to_pylist(),
-                   dup_drv["dup_group"].to_pylist()))
-    b = sorted(zip(dup_dist["doc_id"].to_pylist(),
-                   dup_dist["dup_group"].to_pylist()))
-    assert a == b and len(a) > 0
-    # one pair type on both paths: the distinct verified pairs
-    assert type(pairs_drv) is type(pairs_dist)
-    p_drv, p_dist = (p.to_pandas().sort_values(["id_a", "id_b"])
-                     .reset_index(drop=True)
-                     for p in (pairs_drv, pairs_dist))
-    pd.testing.assert_frame_equal(p_drv, p_dist)
-    assert not p_drv.duplicated(["id_a", "id_b"]).any() and len(p_drv)
+        "id_a": [3, 1, 2, 10, 21, 20, 20],
+        "id_b": [4, 2, 3, 11, 22, 21, 22],
+        "est_jaccard": 1.0})
+    table, dup = _component_task(pairs)
+    assert table.column_names == ["id_a", "id_b", "est_jaccard"]
+    assert table.num_rows == 7
+    assert dup.schema.types == [pa.int64(), pa.int64()]
+    assert dict(zip(dup["doc_id"].to_pylist(),
+                    dup["dup_group"].to_pylist())) == {
+        1: 1, 2: 1, 3: 1, 4: 1, 10: 10, 11: 10, 20: 20, 21: 20, 22: 20}
 
 
 def test_connected_components_full_range_int64_ids(ray_session):
-    """Hash-derived ids use the full int64 range; the label propagation
-    must not round them through float64 (regression: mixed-schema union
-    promoted null-filled int64 to float64) nor overflow the convergence
-    sum (regression: single int64 accumulator)."""
-    import pandas as pd
-    import ray.data as rd
-
-    from dqm_ray.functions.dedup import connected_components
+    """Hash-derived ids use the full int64 range: the component task
+    gives union-find's groups on random graphs over such ids, chains
+    and stars included, and on no edge at all."""
+    from conftest import _union_find_groups
 
     rng = np.random.default_rng(0)
-    ids = rng.integers(-2**63, 2**63 - 1, size=600, dtype=np.int64)
-    a, b = ids[:-1:2], ids[1::2][: len(ids[:-1:2])]
-    pairs = rd.from_pandas(
-        pd.DataFrame({"id_a": a, "id_b": b, "est_jaccard": 1.0})) \
-        .map_batches(lambda df: df, batch_format="pandas")
-    lab = connected_components(pairs).to_pandas()
+    for n_nodes, n_edges in ((600, 300), (2000, 2500), (50, 400), (1, 0)):
+        ids = rng.integers(-2**63, 2**63 - 1, size=n_nodes, dtype=np.int64)
+        ids[:2] = [-2**63, 2**63 - 1][:n_nodes]
+        a = ids[rng.integers(0, n_nodes, n_edges)]
+        b = ids[rng.integers(0, n_nodes, n_edges)]
+        _, dup = _component_task(pd.DataFrame(
+            {"id_a": a, "id_b": b, "est_jaccard": 1.0}))
+        pd.testing.assert_frame_equal(
+            dup.to_pandas(), _union_find_groups(zip(a.tolist(), b.tolist())))
 
-    parent: dict = {}
 
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
+def test_components_shuffled_chain_rounds():
+    """A chain of 200k nodes under shuffled ids, edges in random order,
+    is one component labelled by its min id within 20 rounds (one round
+    per link would be 200k)."""
+    from dqm_ray.functions.dedup import min_id_components
 
-    for x, y in zip(a, b):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-    want = {int(x): int(find(x)) for x in np.concatenate([a, b])}
-    got = dict(zip(lab["node"].astype(np.int64),
-                   lab["label"].astype(np.int64)))
-    assert got == want
+    rng = np.random.default_rng(3)
+    n = 200_000
+    chain = rng.permutation(n).astype(np.int64) * 5 - 7
+    edges = rng.permutation(n - 1)
+    nodes, group, rounds = min_id_components(chain[:-1][edges],
+                                             chain[1:][edges])
+    assert len(nodes) == n and (group == chain.min()).all()
+    assert 1 <= rounds <= 20, rounds
+
+
+def test_minhash_lsh_components_match_union_find(ray_session, monkeypatch):
+    """The dup_table equals union-find over the returned pairs, which are
+    distinct, and the driver fetches the dup_table but never the
+    pairs."""
+    import ray
+    import ray.data as rd
+
+    from conftest import _union_find_groups
+
+    fetched = []
+    real_get = ray.get
+
+    def recording_get(refs, *a, **k):
+        out = real_get(refs, *a, **k)
+        fetched.extend(out if isinstance(out, list) else [out])
+        return out
+
+    t = _docs_with_dups()
+    monkeypatch.setattr(ray, "get", recording_get)
+    dup, pairs = minhash_lsh_dedup(
+        rd.from_arrow(t), threshold=0.6, concurrency=2, batch_size=16)
+    monkeypatch.undo()
+    pair_value = [v for v in fetched if isinstance(v, pa.Table) and
+                  "id_a" in v.column_names or isinstance(v, tuple) and
+                  any(isinstance(x, np.ndarray) for x in v)]
+    assert not pair_value and any(v is dup for v in fetched)
+    p = pa.concat_tables(ray.get(pairs.to_arrow_refs())).to_pandas()
+    assert len(p) and not p.duplicated(["id_a", "id_b"]).any()
+    assert (p["id_a"] < p["id_b"]).all()
+    pd.testing.assert_frame_equal(
+        dup.to_pandas(),
+        _union_find_groups(zip(p["id_a"].tolist(), p["id_b"].tolist())))
+
+
+def test_minhash_pair_bound_raises(monkeypatch):
+    """A part whose bucket of 50 distinct signatures would give 1225
+    representative pairs raises past a bound of 1000, naming the bucket
+    size and the bound; at 1225 it gives them all."""
+    import dqm_ray.functions.dedup as dedup
+
+    rng = np.random.default_rng(6)
+    sig = rng.integers(0, 1 << 63, (50, 16), dtype=np.uint64)
+    rows = pa.table({
+        "doc_id": pa.array(rng.permutation(50), pa.int64()),
+        "bucket_key": pa.array(np.full(50, -5), pa.int64()),
+        "sig": pa.FixedSizeListArray.from_arrays(
+            pa.array(sig.ravel(), pa.uint64()), 16)})
+    monkeypatch.setattr(dedup, "MAX_BUCKET_PAIRS", 1000)
+    with pytest.raises(ValueError, match=r"bucket of 50 .* 1225 pairs .*"
+                                         r"MAX_BUCKET_PAIRS = 1000"):
+        dedup._verified_pairs(rows, id_col="doc_id", threshold=0.0)
+    monkeypatch.setattr(dedup, "MAX_BUCKET_PAIRS", 1225)
+    assert dedup._verified_pairs(rows, id_col="doc_id",
+                                 threshold=0.0).num_rows == 1225
 
 
 def test_canonical_docs_picks_best_quality(ray_session, at_k1_and_k4):

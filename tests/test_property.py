@@ -340,3 +340,54 @@ def test_paragraphs_and_spans_on_blocks_match_twins(ray_session, data):
     want = _spans_twin(df, k)
     pd.testing.assert_frame_equal(rows(spans), want.sort_values(
         "doc_id", ignore_index=True))
+
+
+# bucket keys and ids across the full int64 range, a few of them small
+_INT64 = st.one_of(st.integers(-3, 3),
+                   st.integers(-2**63, 2**63 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lsh_pairs_match_per_bucket_loop(data):
+    """minhash_lsh_dedup's vectorized pair pass gives the star and
+    representative pairs of the per-bucket loop, est_jaccard bit for
+    bit: buckets with repeated signatures, all identical, all distinct
+    and of one row, a doc seen twice in a bucket, rows in any order."""
+    import pandas as pd
+
+    from conftest import _lsh_pairs_twin
+    from dqm_ray.functions.dedup import _lsh_pairs
+
+    shape = data.draw(st.sampled_from(
+        ["repeats", "identical", "distinct", "one_row"]))
+    doc_ids = data.draw(st.lists(_INT64, max_size=30, unique=True))
+    perms = data.draw(st.integers(1, 8))
+    # few values per permutation, so distinct signatures share some
+    pool = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 2), min_size=perms, max_size=perms),
+        min_size=len(doc_ids) + 3, max_size=len(doc_ids) + 3)), np.uint64)
+    pool[:, 0] = np.arange(len(pool))  # pool rows are distinct
+    n_sigs = {"repeats": 3, "identical": 1}.get(shape, len(pool))
+    sig_of = [data.draw(st.integers(0, n_sigs - 1)) if shape == "repeats"
+              else (0 if shape == "identical" else i)
+              for i in range(len(doc_ids))]
+    keys = data.draw(st.lists(_INT64, min_size=1, max_size=4))
+    rows = []
+    for i, d in enumerate(doc_ids):
+        if shape == "one_row":
+            rows.append((d, i, sig_of[i]))
+            continue
+        for k in data.draw(st.lists(st.sampled_from(keys), min_size=1,
+                                    max_size=3)):  # repeats: seen twice
+            rows.append((d, k, sig_of[i]))
+    rows = data.draw(st.permutations(rows))
+    ids = np.array([r[0] for r in rows], np.int64)
+    bk = np.array([r[1] for r in rows], np.int64)
+    sig = pool[np.array([r[2] for r in rows], np.int64)].reshape(
+        len(rows), perms)
+
+    got = _lsh_pairs(ids, bk, sig).to_pandas().sort_values(
+        ["id_a", "id_b", "est_jaccard"], ignore_index=True)
+    pd.testing.assert_frame_equal(got, _lsh_pairs_twin(ids, bk, sig),
+                                  check_exact=True)

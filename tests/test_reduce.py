@@ -10,32 +10,13 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
-from conftest import _first_wins_twin, _spans_twin
+from conftest import _first_wins_twin, _spans_twin, _union_find_groups
 
 SPAN_K = 10
 
 
 def _exact_twin(df: pd.DataFrame) -> pd.DataFrame:
     return df[df["doc_id"].isin(df.groupby("text")["doc_id"].min())]
-
-
-def _union_find_groups(edges) -> pd.DataFrame:
-    """(doc_id, dup_group) for every node of ``edges``, the group being
-    the min id of its connected component."""
-    parent = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        parent[max(ra, rb)] = min(ra, rb)
-    nodes = sorted(parent)
-    return pd.DataFrame({"doc_id": np.array(nodes, np.int64),
-                         "dup_group": np.array([find(x) for x in nodes],
-                                               np.int64)})
 
 
 def _minhash_twin(df: pd.DataFrame, threshold: float = 0.8) -> pd.DataFrame:
@@ -78,10 +59,56 @@ def _simhash_twin(df: pd.DataFrame, max_hamming: int) -> pd.DataFrame:
                         columns=["id_a", "id_b", "hamming"])
 
 
+def _byte_histograms():
+    """texts -> an 8-dim float32 embedding per text, its bytes counted
+    by value mod 8: copies embed equal, other docs close but not equal.
+    Built in a function so Ray pickles it by value."""
+    def embed(texts) -> np.ndarray:
+        return np.stack([
+            np.bincount(np.frombuffer(t.encode(), np.uint8) % 8,
+                        minlength=8) for t in texts]).astype(np.float32)
+
+    return embed
+
+
+def _embedded(ds):
+    """``ds`` with an ``embedding`` column of :func:`_byte_histograms`
+    of its texts."""
+    hist = _byte_histograms()
+
+    def embed(batch: pa.Table) -> pa.Table:
+        emb = hist(batch["text"].to_pylist())
+        return batch.append_column("embedding", pa.FixedSizeListArray
+                                   .from_arrays(pa.array(emb.ravel()), 8))
+
+    return ds.map_batches(embed, batch_format="pyarrow")
+
+
+def _embedding_twin(df: pd.DataFrame, threshold: float,
+                    planes: int) -> pd.DataFrame:
+    """Naive twin of embedding_near_dup: every two docs whose embeddings
+    have the same signs against the seed-13 hyperplanes and a cosine of
+    their unit vectors >= ``threshold``."""
+    emb = _byte_histograms()(df["text"]).astype(np.float64)
+    h = np.random.default_rng(13).standard_normal((8, planes))
+    sign = [tuple(row @ h > 0) for row in emb]
+    unit = emb / np.linalg.norm(emb, axis=1, keepdims=True)
+    ids = df["doc_id"].to_numpy()
+    rows = [(min(ids[i], ids[j]), max(ids[i], ids[j]),
+             float(unit[i] @ unit[j]))
+            for i in range(len(ids)) for j in range(i + 1, len(ids))
+            if sign[i] == sign[j] and unit[i] @ unit[j] >= threshold]
+    return pd.DataFrame({
+        "id_a": np.array([r[0] for r in rows], np.int64),
+        "id_b": np.array([r[1] for r in rows], np.int64),
+        "cosine": np.array([r[2] for r in rows], np.float64)})
+
+
 def _sites(boilerplate_twin, paragraphs_twin):
     """what -> (run the op on a Dataset, naive twin of the input frame)."""
     from dqm_ray.functions.boilerplate import remove_boilerplate_lines
-    from dqm_ray.functions.dedup import (exact_dedup, minhash_lsh_dedup,
+    from dqm_ray.functions.dedup import (embedding_near_dup, exact_dedup,
+                                         minhash_lsh_dedup,
                                          simhash_candidates)
     from dqm_ray.functions.paragraphs import dedup_paragraphs
     from dqm_ray.functions.spans import dedup_spans
@@ -106,6 +133,10 @@ def _sites(boilerplate_twin, paragraphs_twin):
         "simhash_candidates": (
             lambda ds: simhash_candidates(ds, max_hamming=8),
             lambda df: _simhash_twin(df, max_hamming=8)),
+        "embedding_near_dup": (
+            lambda ds: embedding_near_dup(_embedded(ds), id_col="doc_id",
+                                          threshold=0.998, planes=3),
+            lambda df: _embedding_twin(df, 0.998, 3)),
     }
 
 
