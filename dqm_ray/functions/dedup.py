@@ -23,6 +23,7 @@ import functools
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -344,6 +345,15 @@ def _minhash_doc_fn(batch: pa.Table, **params) -> pa.Table:
     return _minhash_stage(**params).doc_table(batch)
 
 
+def _matrix(col) -> np.ndarray:
+    """The rows of a list column of equal-length vectors as one
+    matrix."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    flat = col.flatten().to_numpy(zero_copy_only=False)
+    return flat.reshape(len(col), -1) if len(col) else flat.reshape(0, 0)
+
+
 def _explode_bands(batch: pa.Table, *, id_col: str) -> pa.Table:
     """Per-doc rows → slim (id, bucket_key) band rows: 16 B x bands per
     doc (a ``sig`` column is not carried)."""
@@ -393,73 +403,103 @@ def _multi_member(partials: pa.Table, *, key: str) -> pa.Table:
     return tot.filter(pc.greater(tot["n_sum"], 1)).select([key])
 
 
-# Pairs one part of a near-dup reduce may generate before its verify
-# step: a bucket of u members (distinct signatures for MinHash) gives
-# u(u-1)/2 of them. MinHash's pass peaks at ~52 B per pair and verifies
-# ~0.8M pairs/s on one core (one bucket of 2,000-6,000 distinct 128-perm
-# signatures), so the bound is ~0.85 GiB and ~21 s of one task: about
-# the memory of a reduce task at SMALL_REDUCE_BYTES of partials.
+# Pairs a near-dup reduce makes and verifies at once: whatever its
+# buckets hold, a part's pair memory is one chunk (for MinHash two
+# 16 MiB gathers of 128-perm signatures) plus the pairs it keeps. The
+# MinHash pair reduce of a K = 1 part of 113.7 MiB (114,675 rows in
+# buckets of 2-4, `tools/reduce_sweep.py minhash`, a one-core host)
+# peaked at 564-572 MiB VmRSS, 362-371 MiB RssAnon.
+PAIR_CHUNK = 1 << 14
+
+# The most representative pairs one MinHash bucket may give: a bucket
+# of u distinct signatures gives u(u-1)/2 of them, and no K splits it.
+# On one bucket of 5,793 distinct 128-perm signatures (16.8M pairs,
+# one core) the pass verified 0.87M pairs/s, so the bound caps one
+# bucket at ~19 s of one task; when every pair passes the threshold,
+# the kept pairs and their sort add ~0.9 GiB of RssAnon.
 MAX_BUCKET_PAIRS = 1 << 24
 
 
-def _run_pairs(keys: np.ndarray, what: str) -> tuple[np.ndarray,
-                                                     np.ndarray]:
+def _run_pairs(keys: np.ndarray):
     """Index pairs ``(i, j)``, ``i < j``, of every two rows in the same
-    run of equal sorted ``keys`` (a bucket): generated by repeat and
-    cumsum, with no loop over the buckets. Raises ``ValueError`` past
-    ``MAX_BUCKET_PAIRS`` pairs, before any is made."""
+    run of equal sorted ``keys`` (a bucket), ``PAIR_CHUNK`` at a time:
+    row i leads its pairs with the later rows of its run, and one
+    searchsorted maps each pair number back to its row, with no loop
+    over the buckets and no bucket too large for one chunk."""
     from dqm_ray.state.reduce import run_starts
 
     sizes = np.diff(np.flatnonzero(np.r_[run_starts(keys), True]))
-    total = int((sizes * (sizes - 1) // 2).sum())
-    if total > MAX_BUCKET_PAIRS:
-        raise ValueError(
-            f"{what}: a bucket of {int(sizes.max())} members gives "
-            f"{total} pairs in one part, past the bound of "
-            f"MAX_BUCKET_PAIRS = {MAX_BUCKET_PAIRS}")
-    pos = np.arange(len(keys))
-    after = np.repeat(np.cumsum(sizes), sizes) - pos - 1
-    return np.repeat(pos, after), _multirange(pos + 1, after)
+    after = np.repeat(np.cumsum(sizes), sizes) - np.arange(len(keys)) - 1
+    lead = np.cumsum(after) - after  # the number of row i's first pair
+    total = int(after.sum())
+    for lo in range(0, total, PAIR_CHUNK):
+        p = np.arange(lo, min(lo + PAIR_CHUNK, total))
+        i = np.searchsorted(lead, p, side="right") - 1
+        yield i, i + 1 + p - lead[i]
 
 
-def _lsh_pairs(ids: np.ndarray, bk: np.ndarray, sig: np.ndarray) -> pa.Table:
+def _lsh_pairs(ids: np.ndarray, bk: np.ndarray, sig: np.ndarray,
+               threshold: float) -> pa.Table:
     """Every star and representative pair of candidate band rows (id,
-    bucket key, signature row of ``sig``), in any order; a doc counts
-    once per bucket. In each bucket, docs with equal signatures form a
-    group whose representative is its min id: each other member pairs
-    with it at ``est_jaccard`` 1.0 (star), and every two groups pair
-    their representatives, min id first, at the share of equal
-    permutations (representative). One vectorized pass: the groups are
-    one ``np.unique`` over the (bucket key, signature) rows viewed as
-    fixed-width records, an exact equality."""
+    bucket key, signature row of ``sig``) with ``est_jaccard`` >=
+    ``threshold``, in any order; a doc counts once per bucket. In each
+    bucket, docs with equal signatures form a group whose
+    representative is its min id: each other member pairs with it at
+    1.0 (star), and every two groups pair their representatives, min id
+    first, at the share of equal permutations (representative). One
+    vectorized pass: the groups are runs of equal records in one stable
+    sort of the (bucket key, signature) rows viewed as fixed-width
+    records, an exact equality. A bucket of more than
+    ``MAX_BUCKET_PAIRS`` representative pairs raises ``ValueError``
+    before any is made."""
     from dqm_ray.state.reduce import run_starts
 
     order = np.lexsort((ids, bk))
     first = order[run_starts(bk[order], ids[order])]
-    ids, bk, sig = ids[first], bk[first], sig[first]
-    n, perms = sig.shape
+    ids, bk = ids[first], bk[first]
+    n, perms = len(first), sig.shape[1]
+    # one (bucket key, signature) record per row, the signature copied
+    # in slices straight from ``sig``; the estimates read it from here
     rec = np.empty((n, perms + 1), np.uint64)
     rec[:, 0] = bk.view(np.uint64)
-    rec[:, 1:] = sig
-    # rows are (bucket, id)-sorted, so a group's first row has its min id
-    _, rep, group = np.unique(
-        rec.view(np.dtype((np.void, rec.itemsize * (perms + 1)))).ravel(),
-        return_index=True, return_inverse=True)
-    rep_of = rep[group]
+    for s in range(0, n, PAIR_CHUNK):
+        rec[s:s + PAIR_CHUNK, 1:] = sig[first[s:s + PAIR_CHUNK]]
+    # rows are (bucket, id)-sorted and the sort is stable, so a group's
+    # first row has its min id; equal neighbours are found a chunk at a
+    # time, with no sorted copy of the records
+    by_rec = np.argsort(rec.view(np.dtype((np.void, rec.itemsize *
+                                           (perms + 1)))).ravel(),
+                        kind="stable")
+    new = np.ones(n, bool)
+    for s in range(1, n, PAIR_CHUNK):
+        o = by_rec[s - 1:s + PAIR_CHUNK]
+        new[s:s + len(o) - 1] = (rec[o[1:]] != rec[o[:-1]]).any(axis=1)
+    rep = by_rec[new]
+    rep_of = np.empty(n, np.int64)
+    rep_of[by_rec] = rep[np.cumsum(new) - 1]
     star = rep_of != np.arange(n)
     rep = np.sort(rep)  # the groups in (bucket, representative) order
-    left, right = _run_pairs(bk[rep], "minhash_lsh_dedup")
-    left, right = rep[left], rep[right]
-    est = np.empty(len(left))
-    for s in range(0, len(left), 1 << 14):
-        sl = slice(s, s + (1 << 14))
-        est[sl] = np.count_nonzero(sig[left[sl]] == sig[right[sl]],
-                                   axis=1) / perms
-    return pa.table({
-        "id_a": pa.array(np.r_[ids[rep_of[star]], ids[left]], pa.int64()),
-        "id_b": pa.array(np.r_[ids[star], ids[right]], pa.int64()),
-        "est_jaccard": pa.array(np.r_[np.ones(int(star.sum())), est],
-                                pa.float64())})
+    u = np.diff(np.flatnonzero(np.r_[run_starts(bk[rep]), True]))
+    u = int(u.max(initial=0))
+    if u * (u - 1) // 2 > MAX_BUCKET_PAIRS:
+        raise ValueError(
+            f"minhash_lsh_dedup: a bucket of {u} distinct signatures "
+            f"gives {u * (u - 1) // 2} representative pairs, past the "
+            f"bound of MAX_BUCKET_PAIRS = {MAX_BUCKET_PAIRS}")
+
+    def kept(a, b, est):
+        keep = est >= threshold
+        return a[keep], b[keep], est[keep]
+
+    out = [kept(ids[rep_of[star]], ids[star], np.ones(int(star.sum())))]
+    for left, right in _run_pairs(bk[rep]):
+        left, right = rep[left], rep[right]
+        out.append(kept(ids[left], ids[right], np.count_nonzero(
+            rec[left, 1:] == rec[right, 1:], axis=1) / perms))
+    a, b, est = (np.concatenate(c) for c in zip(*out))
+    return pa.table({"id_a": pa.array(a, pa.int64()),
+                     "id_b": pa.array(b, pa.int64()),
+                     "est_jaccard": pa.array(est, pa.float64())})
 
 
 def _verified_pairs(rows: pa.Table, *, id_col: str,
@@ -469,12 +509,10 @@ def _verified_pairs(rows: pa.Table, *, id_col: str,
     see (:func:`_lsh_pairs`)."""
     if not rows.num_rows:
         return _lsh_pairs(np.zeros(0, np.int64), np.zeros(0, np.int64),
-                          np.zeros((0, 0), np.uint64))
-    sig = rows.column("sig").combine_chunks()
-    pairs = _lsh_pairs(
-        rows.column(id_col).to_numpy(), rows.column("bucket_key").to_numpy(),
-        sig.flatten().to_numpy().reshape(len(sig), sig.type.list_size))
-    return pairs.filter(pairs["est_jaccard"].to_numpy() >= threshold)
+                          np.zeros((0, 0), np.uint64), threshold)
+    return _lsh_pairs(rows.column(id_col).to_numpy(),
+                      rows.column("bucket_key").to_numpy(),
+                      _matrix(rows.column("sig")), threshold)
 
 
 def min_id_components(id_a: np.ndarray, id_b: np.ndarray):
@@ -508,6 +546,7 @@ def min_id_components(id_a: np.ndarray, id_b: np.ndarray):
         rounds += 1
 
 
+@ray.remote(num_returns=2)
 def _pairs_and_groups(value: tuple, id_col: str):
     """The verified pairs (the reduced columns ``value``) as one table,
     and their dup_table: one row per doc in a pair, with the min id of
@@ -542,9 +581,9 @@ def minhash_lsh_dedup(ds, *, id_col: str = "doc_id", text_col: str = "text",
        signature;
     4. one reduce keyed on the bucket key turns those rows into the
        distinct verified (id_a, id_b, est_jaccard) pairs, one
-       vectorized pass per part (:func:`_lsh_pairs`); a part whose
-       buckets would give more than ``MAX_BUCKET_PAIRS`` representative
-       pairs raises ``ValueError``;
+       vectorized pass per part (:func:`_lsh_pairs`), ``PAIR_CHUNK``
+       pairs made and verified at a time; a bucket of more than
+       ``MAX_BUCKET_PAIRS`` representative pairs raises ``ValueError``;
     5. one task over the pairs, which the reduce left in the object
        store, labels their components (:func:`min_id_components`).
        Only its dup_table reaches the driver.
@@ -554,7 +593,6 @@ def minhash_lsh_dedup(ds, *, id_col: str = "doc_id", text_col: str = "text",
     appear. pairs is a Dataset of the distinct verified pairs (int64
     id_a < id_b, float64 est_jaccard).
     """
-    import ray
     import ray.data as rd
 
     from dqm_ray.state.reduce import map_blocks, map_reduce, reduce_partials
@@ -582,8 +620,7 @@ def minhash_lsh_dedup(ds, *, id_col: str = "doc_id", text_col: str = "text",
         functools.partial(_verified_pairs, id_col=id_col,
                           threshold=threshold),
         key="bucket_key", what="minhash_lsh_dedup")
-    pairs, dup_table = ray.remote(num_returns=2)(_pairs_and_groups) \
-        .remote(value, id_col)
+    pairs, dup_table = _pairs_and_groups.remote(value, id_col)
     return ray.get(dup_table), rd.from_arrow_refs([pairs])
 
 
@@ -603,8 +640,6 @@ def canonical_docs(ds, dup_table: pa.Table, *, id_col: str = "doc_id",
     reduce on ``dup_group`` (:func:`~dqm_ray.state.reduce.keyed_parts`:
     vectorized lexsort-first per hash part, no per-tiny-group
     dispatch). Only (group, id, score, n) rows leave the map tasks."""
-    import ray
-
     from dqm_ray.functions.text import quality_score_batch
     from dqm_ray.state.reduce import keyed_parts, sorted_member
 
@@ -802,8 +837,6 @@ def simhash_candidates(ds, *, id_col: str = "doc_id", text_col: str = "text",
     a pandas frame of the distinct pairs: int64 ``id_a`` < ``id_b`` and
     their exact ``hamming`` (0 rows with the same columns when there is
     no pair)."""
-    import ray
-
     from dqm_ray.state.reduce import map_reduce
 
     blocks = ds.map_batches(
@@ -849,12 +882,9 @@ def embedding_near_dup(ds, *, id_col: str = "vec_id",
 
     One content pass emits (id, bucket, embedding) rows per block and
     one reduce keyed on the bucket verifies every pair within each
-    bucket (:func:`~dqm_ray.state.reduce.map_reduce`; a part past
-    ``MAX_BUCKET_PAIRS`` pairs raises ``ValueError``). Returns a pandas
+    bucket (:func:`~dqm_ray.state.reduce.map_reduce`). Returns a pandas
     frame of the distinct pairs: int64 ``id_a`` < ``id_b`` and float64
     ``cosine`` (0 rows with the same columns when there is no pair)."""
-    import ray
-
     from dqm_ray.state.reduce import map_reduce
 
     value, _ = map_reduce(
@@ -866,15 +896,6 @@ def embedding_near_dup(ds, *, id_col: str = "vec_id",
         key="bucket", what="embedding_near_dup")
     return pd.DataFrame(dict(zip(["id_a", "id_b", "cosine"],
                                  ray.get(value))))
-
-
-def _matrix(col) -> np.ndarray:
-    """The rows of a list column of equal-length vectors as one
-    matrix."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    flat = col.flatten().to_numpy(zero_copy_only=False)
-    return flat.reshape(len(col), -1) if len(col) else flat.reshape(0, 0)
 
 
 def _sign_buckets(batch: pa.Table, *, id_col: str, emb_col: str,
@@ -895,24 +916,22 @@ def _cosine_pairs(rows: pa.Table, *, id_col: str, emb_col: str,
                   threshold: float) -> pa.Table:
     """Pairs with cosine >= ``threshold`` among (id, bucket, embedding)
     rows that hold every row of each bucket they see: every two rows of
-    a bucket (:func:`_run_pairs`), their unit vectors' dot in chunks."""
-    if not rows.num_rows:
-        return pa.table({"id_a": pa.array([], pa.int64()),
-                         "id_b": pa.array([], pa.int64()),
-                         "cosine": pa.array([], pa.float64())})
-    ids = rows.column(id_col).to_numpy()
-    bucket = rows.column("bucket").to_numpy()
-    order = np.lexsort((ids, bucket))
-    ids, bucket = ids[order], bucket[order]
-    emb = _matrix(rows.column(emb_col).take(order)).astype(np.float64)
-    unit = emb / np.maximum(np.linalg.norm(emb, axis=1, keepdims=True),
-                            1e-12)
-    left, right = _run_pairs(bucket, "embedding_near_dup")
-    cos = np.empty(len(left))
-    for s in range(0, len(left), 1 << 14):
-        sl = slice(s, s + (1 << 14))
-        cos[sl] = np.einsum("ij,ij->i", unit[left[sl]], unit[right[sl]])
-    keep = cos >= threshold
-    return pa.table({"id_a": pa.array(ids[left[keep]], pa.int64()),
-                     "id_b": pa.array(ids[right[keep]], pa.int64()),
-                     "cosine": pa.array(cos[keep], pa.float64())})
+    a bucket (:func:`_run_pairs`, a chunk at a time), the dot of their
+    unit vectors."""
+    out = [(np.zeros(0, np.int64),) * 2 + (np.zeros(0),)]
+    if rows.num_rows:
+        ids = rows.column(id_col).to_numpy()
+        bucket = rows.column("bucket").to_numpy()
+        order = np.lexsort((ids, bucket))
+        ids, bucket = ids[order], bucket[order]
+        emb = _matrix(rows.column(emb_col)).astype(np.float64)[order]
+        unit = emb / np.maximum(np.linalg.norm(emb, axis=1, keepdims=True),
+                                1e-12)
+        for left, right in _run_pairs(bucket):
+            cos = np.einsum("ij,ij->i", unit[left], unit[right])
+            keep = cos >= threshold
+            out.append((ids[left[keep]], ids[right[keep]], cos[keep]))
+    a, b, cos = (np.concatenate(c) for c in zip(*out))
+    return pa.table({"id_a": pa.array(a, pa.int64()),
+                     "id_b": pa.array(b, pa.int64()),
+                     "cosine": pa.array(cos, pa.float64())})

@@ -142,8 +142,7 @@ def _component_task(pairs: pd.DataFrame):
 
     value = tuple(pairs[c].to_numpy() for c in ("id_a", "id_b",
                                                 "est_jaccard"))
-    refs = ray.remote(num_returns=2)(_pairs_and_groups).remote(
-        ray.put(value), "doc_id")
+    refs = _pairs_and_groups.remote(ray.put(value), "doc_id")
     return ray.get(refs)
 
 
@@ -232,9 +231,9 @@ def test_minhash_lsh_components_match_union_find(ray_session, monkeypatch):
 
 
 def test_minhash_pair_bound_raises(monkeypatch):
-    """A part whose bucket of 50 distinct signatures would give 1225
-    representative pairs raises past a bound of 1000, naming the bucket
-    size and the bound; at 1225 it gives them all."""
+    """A bucket of 50 distinct signatures, which would give 1225
+    representative pairs, raises past a bound of 1000, naming the
+    bucket size and the bound; at 1225 it gives them all."""
     import dqm_ray.functions.dedup as dedup
 
     rng = np.random.default_rng(6)
@@ -245,12 +244,55 @@ def test_minhash_pair_bound_raises(monkeypatch):
         "sig": pa.FixedSizeListArray.from_arrays(
             pa.array(sig.ravel(), pa.uint64()), 16)})
     monkeypatch.setattr(dedup, "MAX_BUCKET_PAIRS", 1000)
-    with pytest.raises(ValueError, match=r"bucket of 50 .* 1225 pairs .*"
-                                         r"MAX_BUCKET_PAIRS = 1000"):
+    with pytest.raises(ValueError, match=r"bucket of 50 distinct signatures"
+                                         r" gives 1225 representative pairs"
+                                         r".*MAX_BUCKET_PAIRS = 1000"):
         dedup._verified_pairs(rows, id_col="doc_id", threshold=0.0)
     monkeypatch.setattr(dedup, "MAX_BUCKET_PAIRS", 1225)
     assert dedup._verified_pairs(rows, id_col="doc_id",
                                  threshold=0.0).num_rows == 1225
+
+
+def test_near_dup_pairs_of_many_buckets_in_chunks(monkeypatch):
+    """A part whose 12 buckets give 2,280 pairs in all, each bucket 190,
+    gives every pair 7 at a time past a bound of 200: MinHash's equal
+    the per-bucket loop's, and the embedding pairs, which have no bound,
+    every two vectors of a bucket with their cosine."""
+    import dqm_ray.functions.dedup as dedup
+    from conftest import _lsh_pairs_twin
+
+    monkeypatch.setattr(dedup, "MAX_BUCKET_PAIRS", 200)
+    monkeypatch.setattr(dedup, "PAIR_CHUNK", 7)
+    rng = np.random.default_rng(11)
+    ids = rng.permutation(240).astype(np.int64) * 3 - 100
+    bk = np.repeat(rng.integers(-2**62, 2**62, 12), 20)
+    sig = rng.integers(0, 4, (240, 6), dtype=np.uint64)
+    sig[:, 0] = np.arange(240)  # 20 distinct signatures a bucket
+    order = rng.permutation(240)
+    got = dedup._verified_pairs(pa.table({
+        "doc_id": ids[order], "bucket_key": bk[order],
+        "sig": pa.FixedSizeListArray.from_arrays(
+            pa.array(sig[order].ravel()), 6)}),
+        id_col="doc_id", threshold=0.0).to_pandas()
+    pd.testing.assert_frame_equal(
+        got.sort_values(["id_a", "id_b"], ignore_index=True),
+        _lsh_pairs_twin(ids, bk, sig), check_exact=True)
+
+    emb = rng.standard_normal((240, 5))
+    got = dedup._cosine_pairs(pa.table({
+        "vec_id": ids[order], "bucket": bk[order],
+        "embedding": pa.FixedSizeListArray.from_arrays(
+            pa.array(emb[order].ravel()), 5)}),
+        id_col="vec_id", emb_col="embedding", threshold=-2.0).to_pandas()
+    unit = emb / np.linalg.norm(emb, axis=1, keepdims=True)
+    i, j = (np.concatenate([b * 20 + t for b in range(12)])
+            for t in np.triu_indices(20, k=1))
+    lo, hi = np.minimum(ids[i], ids[j]), np.maximum(ids[i], ids[j])
+    want = pd.DataFrame({"id_a": lo, "id_b": hi,
+                         "cosine": (unit[i] * unit[j]).sum(axis=1)})
+    pd.testing.assert_frame_equal(
+        got.sort_values(["id_a", "id_b"], ignore_index=True),
+        want.sort_values(["id_a", "id_b"], ignore_index=True))
 
 
 def test_canonical_docs_picks_best_quality(ray_session, at_k1_and_k4):

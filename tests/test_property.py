@@ -353,11 +353,14 @@ def test_lsh_pairs_match_per_bucket_loop(data):
     """minhash_lsh_dedup's vectorized pair pass gives the star and
     representative pairs of the per-bucket loop, est_jaccard bit for
     bit: buckets with repeated signatures, all identical, all distinct
-    and of one row, a doc seen twice in a bucket, rows in any order."""
+    and of one row, a doc seen twice in a bucket, rows in any order,
+    pairs made in chunks of any size."""
+    from unittest import mock
+
     import pandas as pd
 
+    import dqm_ray.functions.dedup as dedup
     from conftest import _lsh_pairs_twin
-    from dqm_ray.functions.dedup import _lsh_pairs
 
     shape = data.draw(st.sampled_from(
         ["repeats", "identical", "distinct", "one_row"]))
@@ -387,7 +390,9 @@ def test_lsh_pairs_match_per_bucket_loop(data):
     sig = pool[np.array([r[2] for r in rows], np.int64)].reshape(
         len(rows), perms)
 
-    got = _lsh_pairs(ids, bk, sig).to_pandas().sort_values(
-        ["id_a", "id_b", "est_jaccard"], ignore_index=True)
+    with mock.patch.object(dedup, "PAIR_CHUNK",
+                           data.draw(st.sampled_from([1, 3, 1 << 14]))):
+        got = dedup._lsh_pairs(ids, bk, sig, 0.0).to_pandas().sort_values(
+            ["id_a", "id_b", "est_jaccard"], ignore_index=True)
     pd.testing.assert_frame_equal(got, _lsh_pairs_twin(ids, bk, sig),
                                   check_exact=True)
