@@ -595,7 +595,8 @@ def minhash_lsh_dedup(ds, *, id_col: str = "doc_id", text_col: str = "text",
     """
     import ray.data as rd
 
-    from dqm_ray.state.reduce import map_blocks, map_reduce, reduce_partials
+    from dqm_ray.state.reduce import (dataset_blocks, map_blocks, map_reduce,
+                                      reduce_partials)
     from dqm_ray.state.tasks import wait_all
 
     # elastic task pool with a per-worker-process stage cache (the same
@@ -604,17 +605,17 @@ def minhash_lsh_dedup(ds, *, id_col: str = "doc_id", text_col: str = "text",
     # optionally caps it)
     params = dict(id_col=id_col, text_col=text_col, num_perm=num_perm,
                   bands=bands, shingle_k=shingle_k)
-    per_doc = ds.map_batches(
+    per_doc, empty = dataset_blocks(ds.map_batches(
         functools.partial(_minhash_doc_fn, **params),
         batch_format="pyarrow", batch_size=batch_size, num_cpus=1,
-        **({"concurrency": concurrency} if concurrency else {})) \
-        .to_arrow_refs()
+        **({"concurrency": concurrency} if concurrency else {})))
     multi, _ = map_reduce(
         per_doc, functools.partial(_count_band_keys, id_col=id_col),
         functools.partial(_multi_member, key="bucket_key"),
-        key="bucket_key", what="minhash_bands")
+        key="bucket_key", what="minhash_bands", empty=empty)
     cands, meta = map_blocks(
-        functools.partial(_candidate_bands, id_col=id_col), per_doc, multi)
+        functools.partial(_candidate_bands, id_col=id_col), per_doc, multi,
+        empty=empty)
     value, _ = reduce_partials(
         cands, wait_all(meta),
         functools.partial(_verified_pairs, id_col=id_col,
@@ -837,17 +838,16 @@ def simhash_candidates(ds, *, id_col: str = "doc_id", text_col: str = "text",
     a pandas frame of the distinct pairs: int64 ``id_a`` < ``id_b`` and
     their exact ``hamming`` (0 rows with the same columns when there is
     no pair)."""
-    from dqm_ray.state.reduce import map_reduce
+    from dqm_ray.state.reduce import dataset_blocks, map_reduce
 
-    blocks = ds.map_batches(
+    groups, empty = dataset_blocks(ds.map_batches(
         functools.partial(simhash_batch, text_col=text_col),
-        batch_format="pyarrow").select_columns([id_col, "simhash"]) \
-        .to_arrow_refs()
+        batch_format="pyarrow").select_columns([id_col, "simhash"]))
     pairs, _ = map_reduce(
-        blocks, functools.partial(_simhash_bands, id_col=id_col),
+        groups, functools.partial(_simhash_bands, id_col=id_col),
         functools.partial(_hamming_pairs, id_col=id_col,
                           max_hamming=max_hamming),
-        key="bucket_key", what="simhash_candidates")
+        key="bucket_key", what="simhash_candidates", empty=empty)
     return pd.DataFrame(dict(zip(["id_a", "id_b", "hamming"],
                                  ray.get(pairs))))
 
@@ -885,15 +885,16 @@ def embedding_near_dup(ds, *, id_col: str = "vec_id",
     bucket (:func:`~dqm_ray.state.reduce.map_reduce`). Returns a pandas
     frame of the distinct pairs: int64 ``id_a`` < ``id_b`` and float64
     ``cosine`` (0 rows with the same columns when there is no pair)."""
-    from dqm_ray.state.reduce import map_reduce
+    from dqm_ray.state.reduce import dataset_blocks, map_reduce
 
+    groups, empty = dataset_blocks(ds)
     value, _ = map_reduce(
-        ds.to_arrow_refs(),
+        groups,
         functools.partial(_sign_buckets, id_col=id_col, emb_col=emb_col,
                           planes=planes, seed=seed),
         functools.partial(_cosine_pairs, id_col=id_col, emb_col=emb_col,
                           threshold=threshold),
-        key="bucket", what="embedding_near_dup")
+        key="bucket", what="embedding_near_dup", empty=empty)
     return pd.DataFrame(dict(zip(["id_a", "id_b", "cosine"],
                                  ray.get(value))))
 

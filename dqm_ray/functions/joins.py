@@ -81,7 +81,7 @@ def anti_join(left, right, *, on: str, right_on: str | None = None):
     Scale shape: the right side reduces to its DISTINCT int64 keys on
     plain Ray tasks (:func:`~dqm_ray.state.reduce.map_reduce`: per-block
     distinct keys, then a keyed reduce), which stay in the object store
-    as one sorted array; one task per left block filters it in place
+    as one sorted array; one task per group of left blocks filters them
     with a searchsorted probe — the left (payload) side never shuffles
     and no key reaches the driver. Scale bound: 8 B x |distinct right
     keys| per left task (same documented bound as exact_dedup's winner
@@ -101,11 +101,11 @@ def anti_join(left, right, *, on: str, right_on: str | None = None):
 
     ron = right_on or on
     distinct = functools.partial(_distinct_keys, col=ron)
-    blocks, empty = dataset_blocks(right)
-    keys, _ = map_reduce(blocks, distinct, distinct, key=ron,
+    groups, empty = dataset_blocks(right)
+    keys, _ = map_reduce(groups, distinct, distinct, key=ron,
                          what="anti_join", empty=empty)
-    blocks, empty = dataset_blocks(left)
-    out, _ = map_blocks(functools.partial(_drop_members, col=on), blocks,
+    groups, empty = dataset_blocks(left)
+    out, _ = map_blocks(functools.partial(_drop_members, col=on), groups,
                         keys, empty=empty)
     return rd.from_arrow_refs(out)
 

@@ -4,21 +4,23 @@ such an op on plain Ray tasks over the input's block refs: no Ray Data
 execution (its executor polls at 0.1 s; a shuffle costs ~1 s on one CPU
 however few rows it moves) and no driver collect inside.
 
-Per block one task emits compact partials — combined counters, winner
-keys or candidate rows, never content — and their ``(rows, bytes)``
+Every step runs one task per group of input blocks, a group per CPU
+or per ``SMALL_REDUCE_BYTES`` of input (:func:`_groups`). Per group
+one task emits compact partials — combined counters, winner keys or
+candidate rows, never content — and their ``(rows, bytes)``
 (:func:`map_blocks`); plain Ray tasks reduce them (:func:`map_reduce`),
 the way the reference reduces each window inside one worker and ships
 only the result (plugins/DQMProcessor.cpp:541-556); then one task per
-block filters or rewrites it against the reduced value
+group filters or rewrites its blocks against the reduced value
 (:func:`keyed_reduce_map`, ``Dataset`` in and out), or emits the rows
 of a second reduce (MinHash's candidate band rows).
 
 The part step takes one or more sides of mapped blocks, K the smallest
 power of two that keeps ``bytes / K`` at or under
 ``SMALL_REDUCE_BYTES`` (raised towards the cluster's CPU count while
-every part keeps ``MIN_PART_BYTES``); one split task per block cuts it
-into K parts by its hashed key (at K = 1 nothing is cut), and part i
-runs one function over every side's part i. Its three callers:
+every part keeps ``MIN_PART_BYTES``); one split task per mapped block
+cuts it into K parts by its hashed key (at K = 1 nothing is cut), and
+part i runs one function over every side's part i. Its three callers:
 
 - :func:`reduce_partials` combines the K part results into one value —
   the distinct result rows as numpy arrays, sorted by all columns —
@@ -77,10 +79,12 @@ log = logging.getLogger("dqm_ray")
 
 def _concat(blocks) -> pa.Table:
     # no rows at all (an emptied input) give a 0-row table of the
-    # blocks' schema; 0 columns only when no block has one
+    # blocks' schema; 0 columns only when no block has one; types are
+    # unified (a column all null in one block is null-typed there)
     tables = [b for b in blocks if b.num_rows] or \
         [b for b in blocks if b.num_columns][:1]
-    return pa.concat_tables(tables) if tables else pa.table({})
+    return pa.concat_tables(tables, promote_options="permissive") \
+        if tables else pa.table({})
 
 
 def _sorted(table: pa.Table) -> tuple:
@@ -219,33 +223,37 @@ def reduce_partials(partials: list, meta: list,
 
 
 @ray.remote(num_returns=2)
-def _block_task(fn: Callable, block: pa.Table, empty: pa.Table, *args):
-    if not block.num_columns:  # a 0-row block without a schema
-        block = empty
-    out = fn(block, *args) if block.num_columns else pa.table({})
+def _group_task(fn: Callable, empty: pa.Table, n_args: int, *args):
+    # a 0-row block without a schema runs as ``empty``
+    blocks = [b if b.num_columns else empty for b in args[n_args:]]
+    out = _concat([fn(b, *args[:n_args]) if b.num_columns
+                   else pa.table({}) for b in blocks])
     return out, (out.num_rows, out.nbytes)
 
 
-def map_blocks(fn: Callable, blocks: list, *args,
+def map_blocks(fn: Callable, groups: list, *args,
                empty: pa.Table = pa.table({})) -> tuple[list, list]:
-    """One task per block ref runs ``fn(block, *args)`` (an arg that is
-    a ref, like a reduced value, arrives resolved); returns the output
-    block refs and the refs of their ``(rows, bytes)``. A 0-row block
-    runs ``fn`` too, so its output has the op's schema; one with no
-    columns runs it on ``empty`` (a 0-row table of the input's schema)
-    instead, or gives a 0-column table when ``empty`` has none."""
-    pairs = [_block_task.remote(fn, b, empty, *args) for b in blocks]
+    """One task per group of block refs (:func:`dataset_blocks`) runs
+    ``fn(block, *args)`` on each of its blocks in turn (an arg that is a
+    ref, like a reduced value, arrives resolved); returns the output
+    refs, one table per group, and the refs of their ``(rows, bytes)``.
+    A 0-row block runs ``fn`` too, so its output has the op's schema;
+    one with no columns runs it on ``empty`` (a 0-row table of the
+    input's schema) instead, or gives a 0-column table when ``empty``
+    has none."""
+    pairs = [_group_task.remote(fn, empty, len(args), *args, *group)
+             for group in groups]
     return [p for p, _ in pairs], [m for _, m in pairs]
 
 
-def map_reduce(blocks: list, partial: Callable[[pa.Table], pa.Table],
+def map_reduce(groups: list, partial: Callable[[pa.Table], pa.Table],
                reduce: Callable[[pa.Table], pa.Table], *, key: str,
                what: str, empty: pa.Table = pa.table({})):
-    """:func:`reduce_partials` of ``partial(block)`` over the block refs
-    ``blocks`` (``empty`` as in :func:`map_blocks`); returns its
-    ``(ref, partial rows)``. A failed map task raises here as its
+    """:func:`reduce_partials` of ``partial(block)`` over the groups of
+    block refs ``groups`` (``empty`` as in :func:`map_blocks`); returns
+    its ``(ref, partial rows)``. A failed map task raises here as its
     original exception class, once the other map tasks have ended."""
-    partials, meta = map_blocks(partial, blocks, empty=empty)
+    partials, meta = map_blocks(partial, groups, empty=empty)
     return reduce_partials(partials, wait_all(meta), reduce, key=key,
                            what=what)
 
@@ -257,16 +265,17 @@ def keyed_reduce_map(ds, partial: Callable[[pa.Table], pa.Table],
     """``keep(block, value)`` for every block of ``ds``, where ``value``
     is :func:`map_reduce` of ``partial`` and ``reduce`` over its blocks;
     returns the output Dataset (``rd.from_arrow_refs``, which waits for
-    the keep tasks). ``to_arrow_refs`` is O(1) on a materialized input;
-    a lazy input runs once and its blocks stay in the object store until
+    the keep tasks), one block per group of :func:`dataset_blocks`: the
+    map and the keep step run one task per group, the same groups. A
+    lazy input runs once and its blocks stay in the object store until
     the keep tasks have read them. Every output block has ``keep``'s
-    schema, an emptied input's too (see :func:`dataset_blocks`)."""
+    schema, an emptied input's too."""
     import ray.data as rd
 
-    blocks, empty = dataset_blocks(ds, fallback)
-    value, _ = map_reduce(blocks, partial, reduce, key=key, what=what,
+    groups, empty = dataset_blocks(ds, fallback)
+    value, _ = map_reduce(groups, partial, reduce, key=key, what=what,
                           empty=empty)
-    out, _ = map_blocks(keep, blocks, value, empty=empty)
+    out, _ = map_blocks(keep, groups, value, empty=empty)
     return rd.from_arrow_refs(out)
 
 
@@ -287,10 +296,8 @@ def keyed_parts(sides: list, fn: Callable, *, key: str, what: str):
 
     outs, metas = [], []
     for ds, prep in sides:
-        # materialized, a lazy input runs once: its schema comes from
-        # the blocks' metadata, not from a second run of its first block
-        blocks, empty = dataset_blocks(ds.materialize())
-        out, meta = map_blocks(prep, blocks, empty=empty)
+        groups, empty = dataset_blocks(ds)
+        out, meta = map_blocks(prep, groups, empty=empty)
         outs.append(out)
         metas.extend(meta)
     k, _ = _k_of(wait_all(metas), what)
@@ -374,13 +381,27 @@ def collect(ds) -> pa.Table:
 
 def dataset_blocks(ds, fallback: pa.Schema = pa.schema([])
                    ) -> tuple[list, pa.Table]:
-    """``ds``'s block refs and a 0-row table of its schema (see
-    :func:`_empty_batch`); a ``ds`` with no block gives that table as
-    its one block, so an emptied input still maps to the op's
-    schema."""
-    blocks = ds.to_arrow_refs()
+    """``ds``'s block refs in groups (:func:`_groups`) and a 0-row table
+    of its schema (see :func:`_empty_batch`); a ``ds`` with no block
+    gives that table as its one block, so an emptied input still maps to
+    the op's schema. A lazy ``ds`` runs once: materialized, its bytes
+    and schema come from the blocks' metadata."""
+    from ray.data.dataset import MaterializedDataset
+
+    if not isinstance(ds, MaterializedDataset):
+        ds = ds.materialize()
     empty = _empty_batch(ds, fallback)
-    return blocks or [ray.put(empty)], empty
+    return _groups(ds.to_arrow_refs() or [ray.put(empty)],
+                   ds.size_bytes() or 0), empty
+
+
+def _groups(blocks: list, nbytes: int) -> list:
+    """``blocks`` (``nbytes`` in all) cut into n runs of consecutive
+    blocks, n = min(blocks, max(CPUs, ceil(nbytes / SMALL_REDUCE_BYTES)))
+    — a task per CPU, and no group past a task's budget on even blocks."""
+    n = min(len(blocks), max(_cpus(), -(-nbytes // SMALL_REDUCE_BYTES)))
+    cuts = [len(blocks) * i // n for i in range(n + 1)]
+    return [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _empty_batch(ds, fallback: pa.Schema) -> pa.Table:

@@ -1,7 +1,7 @@
 """The one wait loop over plain Ray tasks, shared by the quality runner
-and the dedup family (one task per shard or block, no Ray Data
-executor, which polls at 0.1 s: plugins/DQMProcessor.cpp:541-556 gives
-each window to one worker the same way)."""
+and the keyed reduce (one task per shard, or per group of blocks, no
+Ray Data executor, which polls at 0.1 s: plugins/DQMProcessor.cpp:541-556
+gives each window to one worker the same way)."""
 
 from __future__ import annotations
 

@@ -140,6 +140,14 @@ def _sites(boilerplate_twin, paragraphs_twin):
     }
 
 
+# the two ends of dataset_blocks' grouping: every block in one task, and
+# one task per block
+GROUPINGS = {
+    "one group": lambda blocks, nbytes: [blocks],
+    "one block per group": lambda blocks, nbytes: [[b] for b in blocks],
+}
+
+
 def _canon(df: pd.DataFrame) -> pd.DataFrame:
     by = ["id_a", "id_b"] if "id_a" in df else "doc_id"
     return df.sort_values(by).reset_index(drop=True)
@@ -204,17 +212,20 @@ def test_dedup_family_k_parity(ray_session, dup_docs, reduce_at_budget,
                                monkeypatch, boilerplate_twin,
                                paragraphs_twin, dup_rate):
     """Each site runs at K = 1 and at a budget of a third of its partial
-    bytes (K = 4) on blocks with a 0-row one among them, while
+    bytes (K = 4) on blocks with a 0-row and a 0-column one among them,
+    with all blocks in one group and with one block per group, while
     ``Dataset.to_pandas``, ``iter_batches`` and ``groupby`` raise on the
-    driver; both outputs equal the naive twin (for minhash_lsh_dedup
-    its dup_table, for simhash_candidates its pairs)."""
+    driver; all four outputs equal the naive twin (for
+    minhash_lsh_dedup its dup_table, for simhash_candidates its
+    pairs)."""
     import ray.data as rd
 
+    import dqm_ray.state.reduce as reduce_mod
     from dqm_ray.state.reduce import SMALL_REDUCE_BYTES
 
     t = dup_docs(600, dup_rate, seed=int(dup_rate * 100) + 2)
     blocks = [t.slice(0, 250), t.slice(0, 0), t.slice(250, 250),
-              t.slice(500)]
+              pa.table({}), t.slice(500)]
     df = t.to_pandas()
 
     def on_driver(*a, **k):
@@ -222,19 +233,47 @@ def test_dedup_family_k_parity(ray_session, dup_docs, reduce_at_budget,
 
     for what, (op, twin) in _sites(boilerplate_twin,
                                    paragraphs_twin).items():
-        with monkeypatch.context() as m:
-            for name in ("to_pandas", "iter_batches", "groupby"):
-                m.setattr(rd.Dataset, name, on_driver)
-            run = lambda: _materialized(op(rd.from_arrow(blocks)))  # noqa
-            one, k1, nbytes, _ = reduce_at_budget(SMALL_REDUCE_BYTES, run,
-                                                  what)
-            four, k4, _, _ = reduce_at_budget(nbytes // 3, run, what)
-        assert (k1, k4) == (1, 4), what
         expected = _canon(twin(df))
-        for out in (one, four):
-            got = _canon(_collect(out))
-            pd.testing.assert_frame_equal(got, expected[got.columns],
-                                          obj=what)
+        for grouping, groups in GROUPINGS.items():
+            with monkeypatch.context() as m:
+                for name in ("to_pandas", "iter_batches", "groupby"):
+                    m.setattr(rd.Dataset, name, on_driver)
+                m.setattr(reduce_mod, "_groups", groups)
+                run = lambda: _materialized(op(rd.from_arrow(blocks)))  # noqa
+                one, k1, nbytes, _ = reduce_at_budget(SMALL_REDUCE_BYTES,
+                                                      run, what)
+                four, k4, _, _ = reduce_at_budget(nbytes // 3, run, what)
+            assert (k1, k4) == (1, 4), (what, grouping)
+            for out in (one, four):
+                got = _canon(_collect(out))
+                pd.testing.assert_frame_equal(got, expected[got.columns],
+                                              obj=f"{what}, {grouping}")
+
+
+def test_dedup_family_emptied_input_keeps_schema(ray_session, dup_docs,
+                                                 monkeypatch,
+                                                 boilerplate_twin,
+                                                 paragraphs_twin):
+    """An emptied input (every block filtered to 0 rows) gives each site
+    0 rows with the columns and types a non-empty input gives, with all
+    blocks in one group and with one block per group."""
+    import ray.data as rd
+
+    import dqm_ray.state.reduce as reduce_mod
+
+    t = dup_docs(300, 0.5, seed=14)
+    blocks = [t.slice(0, 100), t.slice(0, 0), t.slice(100)]
+    for what, (op, _) in _sites(boilerplate_twin,
+                                paragraphs_twin).items():
+        full = _collect(_materialized(op(rd.from_arrow(blocks))))
+        for grouping, groups in GROUPINGS.items():
+            monkeypatch.setattr(reduce_mod, "_groups", groups)
+            emptied = rd.from_arrow(blocks).map_batches(
+                lambda b: b.slice(0, 0), batch_format="pyarrow")
+            got = _collect(_materialized(op(emptied)))
+            assert len(got) == 0 and len(full) > 0, (what, grouping)
+            assert got.dtypes.to_dict() == full.dtypes.to_dict(), \
+                (what, grouping)
 
 
 def _materialized(out):
@@ -401,9 +440,11 @@ def test_wait_all_cancels_siblings_on_first_failure(ray_session, tmp_path):
 
 def test_exact_dedup_map_task_error_raises_at_call_site(
         ray_session, dup_docs, monkeypatch):
-    """A map task of exact_dedup that raises (its block lacks the id
-    column) raises at the call as the original exception class, and
-    every map task of the call has ended by then."""
+    """A map task of exact_dedup that raises (a block of its group lacks
+    the id column) raises at the call as the original exception class,
+    and every map task of the call has ended by then: the 9 blocks run
+    in 1 group (on 1 CPU), in 3 (on 3 CPUs; the bad block with two good
+    ones) and in 9, one per block (on 64 CPUs)."""
     import ray
     import ray.data as rd
 
@@ -421,12 +462,71 @@ def test_exact_dedup_map_task_error_raises_at_call_site(
     t = dup_docs(4000, 0.3, seed=4)
     bad = ray.put(t.slice(0, 10).drop_columns(["doc_id"]))
     good = [ray.put(t.slice(i, 500)) for i in range(0, 4000, 500)]
-    with pytest.raises(KeyError):
-        exact_dedup(rd.from_arrow_refs([bad] + good))
-    refs, = waited
-    assert len(refs) == 9
-    ready, _ = ray.wait(refs, num_returns=len(refs), timeout=0)
-    assert len(ready) == len(refs)
+    for cpus, groups in ((1, 1), (3, 3), (64, 9)):
+        monkeypatch.setattr(reduce_mod, "_cpus", lambda c=cpus: c)
+        waited.clear()
+        with pytest.raises(KeyError):
+            exact_dedup(rd.from_arrow_refs([bad] + good))
+        refs, = waited
+        assert len(refs) == groups
+        ready, _ = ray.wait(refs, num_returns=len(refs), timeout=0)
+        assert len(ready) == len(refs)
+
+
+def _counting(path: str):
+    """A ``map_batches`` UDF that passes its batch on and appends a line
+    to ``path`` per call. Built in a function so Ray pickles it by
+    value."""
+    def count(batch: pa.Table) -> pa.Table:
+        with open(path, "a") as f:
+            f.write("call\n")
+        return batch
+
+    return count
+
+
+def test_lazy_input_runs_once(ray_session, dup_docs, tmp_path):
+    """A lazy input (an upstream ``map_batches`` that counts its calls)
+    runs once per block through exact_dedup and through both sides of
+    anti_join: the keyed reduce materializes it once and reads its
+    schema and bytes from the blocks' metadata, with no second run of
+    its first block."""
+    import ray.data as rd
+
+    from dqm_ray.functions.dedup import exact_dedup
+    from dqm_ray.functions.joins import anti_join
+
+    t = dup_docs(400, 0.5, seed=12)
+    blocks = [t.slice(i, 100) for i in range(0, 400, 100)]
+
+    def lazy(name):
+        return rd.from_arrow(blocks).map_batches(
+            _counting(str(tmp_path / name)), batch_format="pyarrow",
+            batch_size=None)
+
+    exact_dedup(lazy("exact"))
+    anti_join(lazy("left"), lazy("right"), on="doc_id")
+    calls = {p.name: len(p.read_text().splitlines())
+             for p in tmp_path.iterdir()}
+    assert calls == {"exact": 4, "left": 4, "right": 4}
+
+
+def test_group_of_blocks_with_differing_types(ray_session):
+    """Blocks of one group whose column types differ (a column all null
+    in one block is null-typed) give one output block of the unified
+    type, as separate blocks did."""
+    import ray.data as rd
+
+    from dqm_ray.functions.dedup import exact_dedup
+    from dqm_ray.state.reduce import collect
+
+    b1 = pa.table({"doc_id": pa.array([1, 2], pa.int64()),
+                   "text": ["a b", "a b"], "note": ["x", "y"]})
+    b2 = pa.table({"doc_id": pa.array([3, 4], pa.int64()),
+                   "text": ["c d", "e f"], "note": pa.nulls(2)})
+    out = collect(exact_dedup(rd.from_arrow([b1, b2])).materialize())
+    assert out.column("doc_id").to_pylist() == [1, 3, 4]
+    assert out.schema.field("note").type == pa.string()
 
 
 def test_map_task_worker_exit_is_retried(ray_session, dup_docs, tmp_path):
@@ -532,6 +632,26 @@ def test_k_rule_bytes_then_cpus():
     assert k(SMALL_REDUCE_BYTES, 1) == 1
     assert k(SMALL_REDUCE_BYTES + 1, 1) == 2
     assert k(5 * SMALL_REDUCE_BYTES, 2) == 8
+
+
+def test_group_rule_bytes_then_cpus(monkeypatch):
+    """The blocks run in n = min(blocks, max(CPUs, ceil(bytes /
+    SMALL_REDUCE_BYTES))) groups of consecutive blocks, in order, whose
+    sizes differ by at most one block."""
+    import dqm_ray.state.reduce as reduce_mod
+    from dqm_ray.state.reduce import SMALL_REDUCE_BYTES as budget
+    from dqm_ray.state.reduce import _groups
+
+    blocks = list(range(9))
+    for cpus, nbytes, n in ((1, 0, 1), (1, budget, 1), (1, budget + 1, 2),
+                            (4, budget, 4), (4, 6 * budget, 6),
+                            (64, 0, 9), (1, 100 * budget, 9)):
+        monkeypatch.setattr(reduce_mod, "_cpus", lambda c=cpus: c)
+        groups = _groups(blocks, nbytes)
+        assert len(groups) == n, (cpus, nbytes)
+        assert sum(groups, []) == blocks
+        assert max(map(len, groups)) - min(map(len, groups)) <= 1
+    assert _groups(["only"], 0) == [["only"]]
 
 
 def _grouped_input(n: int = 4000, seed: int = 9) -> pa.Table:
